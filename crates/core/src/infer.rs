@@ -8,7 +8,6 @@
 
 use std::time::{Duration, Instant};
 
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -17,6 +16,7 @@ use rlleg_nn::ops;
 
 use crate::env::LegalizeEnv;
 use crate::model::CellWiseNet;
+use crate::train::sample_categorical;
 
 /// How actions are chosen at inference time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -265,7 +265,7 @@ impl RlLegalizer {
                         .unwrap_or(0),
                     Selection::Sample(_) => {
                         ops::softmax_in_place(&mut logits);
-                        sample(&logits, &mut rng)
+                        sample_categorical(&logits, &mut rng)
                     }
                 };
                 let cell = remaining[a];
@@ -357,18 +357,6 @@ fn recover_failures(design: &mut Design, legalized: &mut usize, failed: &mut Vec
             break;
         }
     }
-}
-
-fn sample(probs: &[f32], rng: &mut impl Rng) -> usize {
-    let x: f32 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &p) in probs.iter().enumerate() {
-        acc += p;
-        if x < acc {
-            return i;
-        }
-    }
-    probs.len() - 1
 }
 
 #[cfg(test)]

@@ -7,27 +7,33 @@
 //! clips the gradient to a global norm of 0.1, applies one shared-Adam
 //! update to the global parameters, and refreshes its local copy.
 //!
-//! Two mechanisms make the loop genuinely asynchronous and batched:
+//! One stepping loop serves both training drivers: [`run_gcells`]
+//! advances a group of Gcell subepisodes in lockstep macro-steps,
+//! evaluating all of their states through one
+//! [`CellWiseNet::forward_policy_batch`] blocked-GEMM forward
+//! (bit-identical to per-state forwards), and [`Agent::run_episode`] wraps
+//! it with the per-episode bookkeeping. A driver is a Gcell grouping plus a
+//! choice about concurrency:
 //!
-//! - Global parameters live in a [`ParamStore`] — a versioned,
-//!   double-buffered seqlock. Gradient applications stay serialized (Adam
-//!   moments are sequential) but agents syncing `θ' ← θ` copy the active
-//!   buffer lock-free, so a slow reader never stalls a writer and vice
-//!   versa. Agents run as persistent jobs on the
-//!   [`rlleg_legalize::pool`] worker pool.
-//! - Policy evaluation is batched across subepisodes:
-//!   [`run_episode_batched`] advances every active Gcell of an episode in
-//!   lockstep macro-steps and evaluates all of their states through one
-//!   [`CellWiseNet::forward_policy_batch`] blocked-GEMM forward. The
-//!   batched logits are bit-identical to per-state forwards, so only the
-//!   *interleaving* of environment steps differs from the sequential
-//!   trainer — which is why equivalence with the deterministic
-//!   [`Trainer`](crate::trainer::Trainer) is distributional (cost and
-//!   failure bands over seeds, `tests/distributional.rs`), not bit-exact.
+//! - [`train`] runs its agents concurrently as jobs on the
+//!   [`rlleg_legalize::pool`] worker pool, each on its own environments,
+//!   and passes all of an episode's Gcells as one group. Global parameters
+//!   live in a [`ParamStore`] — a versioned, double-buffered seqlock:
+//!   gradient applications stay serialized (Adam moments are sequential)
+//!   but agents syncing `θ' ← θ` copy the active buffer lock-free, so a
+//!   slow reader never stalls a writer and vice versa.
+//! - [`Trainer`] runs its agents one after another and passes Gcells one
+//!   at a time, which makes a run a pure function of its inputs and
+//!   checkpointable.
+//!
+//! With one agent on a one-Gcell design the two schedules coincide and the
+//! drivers agree bit for bit (`tests/cross_driver.rs`). Otherwise only the
+//! *interleaving* of environment steps differs, so their equivalence is
+//! distributional (cost and failure bands over seeds,
+//! `tests/distributional.rs`).
 
 use parking_lot::Mutex;
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +44,7 @@ use crate::config::{ReturnMode, RlConfig, StateMode};
 use crate::env::LegalizeEnv;
 use crate::model::CellWiseNet;
 use crate::store::ParamStore;
+use crate::trainer::Trainer;
 
 /// One point of the learning curve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,7 +180,7 @@ pub(crate) struct Step {
 }
 
 /// Samples an index from a probability vector.
-fn sample_categorical(probs: &[f32], rng: &mut impl Rng) -> usize {
+pub(crate) fn sample_categorical(probs: &[f32], rng: &mut impl Rng) -> usize {
     let x: f32 = rng.gen();
     let mut acc = 0.0;
     for (i, &p) in probs.iter().enumerate() {
@@ -192,14 +199,6 @@ fn apply_mask(logits: &mut [f32], mask: &Mask) {
             *l = -1e9;
         }
     }
-}
-
-fn masked_logits(logits: &[f32], mask: Option<&Mask>) -> Vec<f32> {
-    let mut out = logits.to_vec();
-    if let Some(m) = mask {
-        apply_mask(&mut out, m);
-    }
-    out
 }
 
 /// Discounted returns over `rewards`, seeded with `tail` past the horizon
@@ -257,8 +256,11 @@ pub(crate) fn update(
     let scale = 1.0 / batch.len() as f32;
     for (t, step) in batch.iter().enumerate() {
         let f = local.forward(&step.state);
-        let logits = masked_logits(&f.logits, step.mask.as_ref());
-        let probs = ops::softmax(&logits);
+        let mut probs = f.logits;
+        if let Some(m) = &step.mask {
+            apply_mask(&mut probs, m);
+        }
+        ops::softmax_in_place(&mut probs);
         let adv = advs[t];
         let entropy = ops::entropy(&probs);
         let mut d_logits = vec![0f32; probs.len()];
@@ -307,161 +309,48 @@ pub(crate) fn update(
     }
 }
 
-/// Runs one agent's subepisode under the given state mode, pushing steps
-/// into batches and updating as Algorithm 1 prescribes. Returns
-/// `(failures, steps)`: the number of legalization failures encountered
-/// (with the paper's terminate-on-failure semantics this is 0 or 1) and the
-/// number of environment steps taken.
-///
-/// This is the sequential reference path used by the deterministic
-/// [`Trainer`](crate::trainer::Trainer); [`train`] runs the batched
-/// equivalent [`run_episode_batched`].
-pub(crate) fn run_subepisode(
-    env: &mut LegalizeEnv,
-    g: usize,
-    local: &mut CellWiseNet,
-    shared: &Shared,
-    cfg: &RlConfig,
-    lr: f32,
-    rng: &mut impl Rng,
-) -> (usize, usize) {
-    let all = env.remaining_in(g);
-    if all.is_empty() {
-        return (0, 0);
-    }
-    let mut batch: Vec<Step> = Vec::new();
-    let mut failures = 0usize;
-    let mut steps = 0usize;
-    // Bootstrap-tail states are consumed immediately; route them through
-    // one scratch pair instead of allocating per step.
-    let mut tail_raw: Vec<f32> = Vec::new();
-    let mut tail_state = Matrix::zeros(0, 0);
-    match cfg.state_mode {
-        StateMode::Reduced => {
-            let mut remaining = all;
-            while !remaining.is_empty() {
-                let state = env.state(&remaining);
-                let f = local.forward_inference(&state);
-                let probs = ops::softmax(&f.logits);
-                let a = sample_categorical(&probs, rng);
-                let outcome = env.step(remaining[a]);
-                steps += 1;
-                batch.push(Step {
-                    state,
-                    mask: None,
-                    action: a,
-                    reward: outcome.reward(),
-                    failed: outcome.is_failure(),
-                });
-                let mut terminate = false;
-                if outcome.is_failure() {
-                    failures += 1;
-                    terminate = cfg.terminate_on_failure;
-                }
-                if !terminate {
-                    remaining.remove(a);
-                }
-                let done = terminate || remaining.is_empty();
-                let need_tail = cfg.return_mode == ReturnMode::BatchBootstrap
-                    && !done
-                    && batch.len() >= cfg.batch_size;
-                let tail = if need_tail {
-                    env.state_into(&remaining, &mut tail_raw, &mut tail_state);
-                    local.forward_inference(&tail_state).value
-                } else {
-                    0.0
-                };
-                flush(local, shared, &mut batch, done, tail, cfg, lr);
-                if terminate {
-                    break;
-                }
-            }
-        }
-        StateMode::Masked => {
-            let mut mask = Mask::all_set(all.len());
-            let mut left = all.len();
-            while left > 0 {
-                let state = env.state(&all);
-                let f = local.forward_inference(&state);
-                let probs = ops::softmax(&masked_logits(&f.logits, Some(&mask)));
-                let a = sample_categorical(&probs, rng);
-                let outcome = env.step(all[a]);
-                steps += 1;
-                batch.push(Step {
-                    state,
-                    mask: Some(mask.clone()),
-                    action: a,
-                    reward: outcome.reward(),
-                    failed: outcome.is_failure(),
-                });
-                let mut terminate = false;
-                if outcome.is_failure() {
-                    failures += 1;
-                    terminate = cfg.terminate_on_failure;
-                }
-                if !terminate {
-                    mask.clear(a);
-                    left -= 1;
-                }
-                let done = terminate || left == 0;
-                let need_tail = cfg.return_mode == ReturnMode::BatchBootstrap
-                    && !done
-                    && batch.len() >= cfg.batch_size;
-                let tail = if need_tail {
-                    env.state_into(&all, &mut tail_raw, &mut tail_state);
-                    local.forward_inference(&tail_state).value
-                } else {
-                    0.0
-                };
-                flush(local, shared, &mut batch, done, tail, cfg, lr);
-                if terminate {
-                    break;
-                }
-            }
-        }
-    }
-    (failures, steps)
-}
-
-/// One live Gcell subepisode inside [`run_episode_batched`].
+/// One live Gcell subepisode inside [`run_gcells`].
 struct SubEpisode {
     /// Reduced mode: the shrinking remaining list. Masked mode: the fixed
     /// full cell list of the Gcell.
     cells: Vec<rlleg_design::CellId>,
     /// Masked mode only: selectable cells.
     mask: Option<Mask>,
-    /// Masked mode only: cells not yet legalized.
+    /// Steps still to take: cells not yet legalized, or 0 once the
+    /// subepisode terminated on a failure.
     left: usize,
     batch: Vec<Step>,
-    done: bool,
 }
 
-/// Runs one agent's whole episode with policy evaluation batched across
-/// Gcells: every macro-step gathers the current state of each live
-/// subepisode and evaluates all of them through one
-/// [`CellWiseNet::forward_policy_batch`] blocked-GEMM forward, then
-/// samples, steps, and flushes each subepisode against its logit slice.
-/// Returns `(failures, steps)` like [`run_subepisode`].
+/// Runs one agent's subepisodes on `gcells`, pushing steps into batches
+/// and updating as Algorithm 1 prescribes. Returns `(failures, steps)`:
+/// the number of legalization failures encountered (with the paper's
+/// terminate-on-failure semantics at most one per Gcell) and the number
+/// of environment steps taken.
 ///
-/// Per-subepisode semantics (sampling, masking, batching, flushing) are
-/// identical to [`run_subepisode`]; what changes is the *order* of
-/// environment steps — subepisodes advance in lockstep instead of one
-/// after another — so dynamic features observed by one Gcell may reflect
-/// fewer sibling placements than under the sequential schedule. That
-/// reordering is the whole speedup and the reason async-vs-deterministic
-/// equivalence is tested distributionally.
-pub(crate) fn run_episode_batched(
+/// This is the only loop that steps policy-driven training subepisodes.
+/// The Gcells of the group advance in lockstep macro-steps: each gathers
+/// the current state of every live subepisode, evaluates all of them
+/// through one [`CellWiseNet::forward_policy_batch`] blocked-GEMM forward
+/// (bit-identical to per-state forwards), then samples, steps and flushes
+/// each subepisode against its logit slice. The grouping is the whole
+/// difference between the drivers: [`train`] passes all of an episode's
+/// Gcells at once, [`Trainer`](crate::trainer::Trainer) one at a time.
+/// Under lockstep, dynamic features observed by one Gcell may reflect
+/// fewer sibling placements than under the one-at-a-time schedule, which
+/// is why async-vs-deterministic equivalence is tested distributionally.
+fn run_gcells(
     env: &mut LegalizeEnv,
+    gcells: &[usize],
     local: &mut CellWiseNet,
     shared: &Shared,
     cfg: &RlConfig,
     lr: f32,
     rng: &mut impl Rng,
 ) -> (usize, usize) {
-    let mut subs: Vec<SubEpisode> = env
-        .subepisode_order()
-        .into_iter()
-        .filter_map(|g| {
+    let mut subs: Vec<SubEpisode> = gcells
+        .iter()
+        .filter_map(|&g| {
             let cells = env.remaining_in(g);
             if cells.is_empty() {
                 return None;
@@ -472,7 +361,6 @@ pub(crate) fn run_episode_batched(
                 mask: (cfg.state_mode == StateMode::Masked).then(|| Mask::all_set(n)),
                 left: n,
                 batch: Vec::new(),
-                done: false,
             })
         })
         .collect();
@@ -480,19 +368,14 @@ pub(crate) fn run_episode_batched(
     let mut steps = 0usize;
     let mut tail_raw: Vec<f32> = Vec::new();
     let mut tail_state = Matrix::zeros(0, 0);
-    loop {
-        let active: Vec<usize> = (0..subs.len()).filter(|&i| !subs[i].done).collect();
-        if active.is_empty() {
-            break;
-        }
+    while !subs.is_empty() {
         // Gather every live subepisode's state, then one batched forward.
-        let states: Vec<Matrix> = active.iter().map(|&i| env.state(&subs[i].cells)).collect();
+        let states: Vec<Matrix> = subs.iter().map(|sub| env.state(&sub.cells)).collect();
         let logit_slices = {
             let refs: Vec<&Matrix> = states.iter().collect();
             local.forward_policy_batch(&refs)
         };
-        for ((&i, state), mut logits) in active.iter().zip(states).zip(logit_slices) {
-            let sub = &mut subs[i];
+        for ((sub, state), mut logits) in subs.iter_mut().zip(states).zip(logit_slices) {
             if let Some(m) = &sub.mask {
                 apply_mask(&mut logits, m);
             }
@@ -507,12 +390,10 @@ pub(crate) fn run_episode_batched(
                 reward: outcome.reward(),
                 failed: outcome.is_failure(),
             });
-            let mut terminate = false;
-            if outcome.is_failure() {
-                failures += 1;
-                terminate = cfg.terminate_on_failure;
-            }
-            if !terminate {
+            failures += usize::from(outcome.is_failure());
+            if outcome.is_failure() && cfg.terminate_on_failure {
+                sub.left = 0;
+            } else {
                 match &mut sub.mask {
                     Some(m) => m.clear(a),
                     None => {
@@ -521,7 +402,7 @@ pub(crate) fn run_episode_batched(
                 }
                 sub.left -= 1;
             }
-            let done = terminate || sub.left == 0;
+            let done = sub.left == 0;
             let need_tail = cfg.return_mode == ReturnMode::BatchBootstrap
                 && !done
                 && sub.batch.len() >= cfg.batch_size;
@@ -532,8 +413,8 @@ pub(crate) fn run_episode_batched(
                 0.0
             };
             flush(local, shared, &mut sub.batch, done, tail, cfg, lr);
-            sub.done = done;
         }
+        subs.retain(|sub| sub.left > 0);
     }
     (failures, steps)
 }
@@ -643,117 +524,144 @@ pub(crate) fn pretrain(global: &mut CellWiseNet, designs: &[Design], cfg: &RlCon
     }
 }
 
+/// One environment per design, reset between episodes (rebuilding
+/// features is the expensive part; the paper reports the same
+/// bottleneck).
+pub(crate) fn build_envs(designs: &[Design], cfg: &RlConfig) -> Vec<LegalizeEnv> {
+    designs
+        .iter()
+        .map(|d| {
+            let gcells = rlleg_legalize::GcellGrid::auto(d);
+            LegalizeEnv::with_options(d.clone(), gcells, cfg.backend)
+        })
+        .collect()
+}
+
+/// One A3C agent: its policy-sampling RNG stream and the local network it
+/// acts with. Both drivers run episodes through [`Agent::run_episode`].
+pub(crate) struct Agent {
+    /// The learning-curve `agent` field and the round-robin design offset.
+    pub(crate) index: usize,
+    /// Checkpointed by `Trainer::state`; everything else is rebuilt.
+    pub(crate) rng: ChaCha8Rng,
+    /// Synced from the store at every episode start.
+    local: CellWiseNet,
+    /// Reused episode-start snapshot buffer (cloned only into
+    /// `shared.best` on improvement).
+    ep_params: Vec<f32>,
+    /// Pre-interned rate gauge: `format!`-ing a metric name per episode
+    /// re-hashed the registry every time; the handle is created once and
+    /// held.
+    sps_gauge: Option<telemetry::Gauge>,
+}
+
+impl Agent {
+    pub(crate) fn new(index: usize, rng: ChaCha8Rng, local: CellWiseNet) -> Self {
+        Self {
+            index,
+            rng,
+            local,
+            ep_params: Vec::new(),
+            sps_gauge: None,
+        }
+    }
+
+    /// Runs episode `episode` on the round-robin design of `envs` and
+    /// records it in `shared`. With `lockstep` every Gcell of the episode
+    /// advances in one [`run_gcells`] group (the asynchronous [`train`]);
+    /// without, Gcells run one at a time in subepisode order (the
+    /// deterministic [`Trainer`](crate::trainer::Trainer)). Returns the
+    /// number of environment steps taken.
+    pub(crate) fn run_episode(
+        &mut self,
+        envs: &mut [LegalizeEnv],
+        shared: &Shared,
+        cfg: &RlConfig,
+        episode: usize,
+        lockstep: bool,
+    ) -> usize {
+        let env = &mut envs[(self.index + episode) % envs.len()];
+        env.reset();
+        // Algorithm 1: θ' ← θ at episode start. The snapshot is also what
+        // `shared.best` records if this episode sets a new best cost — it
+        // is the parameter version the episode's behaviour came from.
+        shared.store.read_into(&mut self.ep_params);
+        self.local.set_params_flat(&self.ep_params);
+        let lr = cfg.learning_rate * cfg.lr_decay.powi(episode as i32);
+        let t_ep = std::time::Instant::now();
+        let order = env.subepisode_order();
+        let group = if lockstep { order.len().max(1) } else { 1 };
+        let (mut failures, mut steps) = (0, 0);
+        for gcells in order.chunks(group) {
+            let (f, s) = run_gcells(env, gcells, &mut self.local, shared, cfg, lr, &mut self.rng);
+            failures += f;
+            steps += s;
+        }
+        let cost = env.legalization_cost();
+        if !telemetry::disabled() {
+            telemetry::counter("train.steps").add(steps as u64);
+            telemetry::counter("train.episodes").inc();
+            telemetry::histogram("train.episode_cost", telemetry::buckets::MAGNITUDE).record(cost);
+            let index = self.index;
+            self.sps_gauge
+                .get_or_insert_with(|| {
+                    telemetry::gauge(&format!("train.agent.{index}.millisteps_per_sec"))
+                })
+                .set_rate_milli(steps as f64, t_ep.elapsed().as_secs_f64());
+        }
+        shared.history.lock().push(TrainSample {
+            agent: self.index,
+            episode,
+            design: env.design().name.clone(),
+            cost,
+            failures,
+            qor: env.qor(),
+        });
+        // Validation-style checkpointing: record the episode's *starting*
+        // parameters on a new best cost, not the drifted post-episode
+        // locals that never produced the recorded cost.
+        let mut best = shared.best.lock();
+        if cost < best.0 {
+            best.0 = cost;
+            best.1.clear();
+            best.1.extend_from_slice(&self.ep_params);
+        }
+        steps
+    }
+}
+
 /// Trains the cell-wise network on `designs` with `cfg.agents` asynchronous
 /// agents (Algorithm 1). Agents cycle through the designs round-robin, one
-/// design per episode, run on the shared
-/// [`rlleg_legalize::pool`] worker pool, and batch each macro-step's
-/// policy evaluation across all active Gcells.
+/// design per episode, run concurrently on the shared
+/// [`rlleg_legalize::pool`] worker pool on their own environments, and
+/// advance all Gcells of an episode in lockstep.
 ///
 /// # Panics
 ///
-/// Panics when `designs` is empty or `cfg.agents == 0`.
+/// Panics when `designs` is empty, `cfg.agents == 0` or
+/// `cfg.batch_size == 0`.
 pub fn train(designs: &[Design], cfg: &RlConfig) -> TrainResult {
-    assert!(!designs.is_empty(), "training needs at least one design");
-    assert!(cfg.agents > 0, "need at least one agent");
-    let mut init_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut global = CellWiseNet::new(cfg.hidden_dim, &mut init_rng);
-    if cfg.pretrain_episodes > 0 {
-        pretrain(&mut global, designs, cfg);
-    }
-    let shared = Shared::fresh(global.params_flat(), cfg.learning_rate);
-
-    let workers = cfg.agents.min(rlleg_legalize::pool::default_threads());
-    let pool = rlleg_legalize::pool::with_workers(workers);
+    let mut trainer = Trainer::without_envs(designs, cfg);
+    let pool =
+        rlleg_legalize::pool::with_workers(cfg.agents.min(rlleg_legalize::pool::default_threads()));
+    let shared = &trainer.shared;
     pool.scope(|scope| {
-        for agent in 0..cfg.agents {
-            let shared = &shared;
-            let cfg = cfg.clone();
-            let mut local = global.clone();
+        for agent in &mut trainer.agents {
             scope.spawn(move || {
-                let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ ((agent as u64 + 1) * 0x9E37));
-                // Each agent keeps one environment per design, reset between
-                // episodes (rebuilding features is the expensive part; the
-                // paper reports the same bottleneck).
-                let mut envs: Vec<LegalizeEnv> = designs
-                    .iter()
-                    .map(|d| {
-                        let gcells = rlleg_legalize::GcellGrid::auto(d);
-                        LegalizeEnv::with_options(d.clone(), gcells, cfg.backend)
-                    })
-                    .collect();
-                // Pre-interned rate gauge: `format!`-ing a metric name per
-                // episode re-hashed the registry every time; the handle is
-                // created once and held.
-                let gauge_name = format!("train.agent.{agent}.millisteps_per_sec");
-                let mut sps_gauge: Option<telemetry::Gauge> = None;
-                // Reused episode-start snapshot buffer (cloned only into
-                // `shared.best` on improvement).
-                let mut ep_params: Vec<f32> = Vec::new();
+                let mut envs = build_envs(designs, cfg);
                 for episode in 0..cfg.episodes {
-                    let di = (agent + episode) % envs.len();
-                    let env = &mut envs[di];
-                    env.reset();
-                    // Algorithm 1: θ' ← θ at episode start. The snapshot is
-                    // also what `shared.best` records if this episode sets a
-                    // new best cost — it is the parameter version the
-                    // episode's behaviour came from.
-                    shared.store.read_into(&mut ep_params);
-                    local.set_params_flat(&ep_params);
-                    let lr = cfg.learning_rate * cfg.lr_decay.powi(episode as i32);
-                    let t_ep = std::time::Instant::now();
-                    let (failures, steps) =
-                        run_episode_batched(env, &mut local, shared, &cfg, lr, &mut rng);
-                    let cost = env.legalization_cost();
-                    if !telemetry::disabled() {
-                        telemetry::counter("train.steps").add(steps as u64);
-                        telemetry::counter("train.episodes").inc();
-                        telemetry::histogram("train.episode_cost", telemetry::buckets::MAGNITUDE)
-                            .record(cost);
-                        sps_gauge
-                            .get_or_insert_with(|| telemetry::gauge(&gauge_name))
-                            .set_rate_milli(steps as f64, t_ep.elapsed().as_secs_f64());
-                    }
-                    let sample = TrainSample {
-                        agent,
-                        episode,
-                        design: designs[di].name.clone(),
-                        cost,
-                        failures,
-                        qor: env.qor(),
-                    };
-                    shared.history.lock().push(sample);
-                    // Validation-style checkpointing: record the episode's
-                    // *starting* parameters on a new best cost. (The old
-                    // code stored the post-episode locals, i.e. parameters
-                    // that never produced the recorded cost.)
-                    let mut best = shared.best.lock();
-                    if cost < best.0 {
-                        best.0 = cost;
-                        best.1.clear();
-                        best.1.extend_from_slice(&ep_params);
-                    }
+                    agent.run_episode(&mut envs, shared, cfg, episode, true);
                 }
             });
         }
     });
-
-    let params = shared.store.into_inner();
-    let (_, best_params) = shared.best.into_inner();
-    let mut best_model = global.clone();
-    best_model.set_params_flat(&best_params);
-    global.set_params_flat(&params);
-    let mut history = shared.history.into_inner();
-    history.sort_by_key(|s| (s.episode, s.agent));
-    TrainResult {
-        model: global,
-        best_model,
-        history,
-    }
+    trainer.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use rlleg_design::{DesignBuilder, Technology};
     use rlleg_geom::Point;
 
@@ -957,6 +865,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "batch_size must be positive")]
+    fn zero_batch_size_is_rejected_instead_of_spinning() {
+        // Both the Monte-Carlo chunk loop and the warm-start chunk loop
+        // advance by `batch_size`; at 0 they never terminated.
+        let cfg = RlConfig {
+            return_mode: crate::config::ReturnMode::MonteCarlo,
+            pretrain_episodes: 1,
+            batch_size: 0,
+            agents: 1,
+            ..tiny_cfg()
+        };
+        train(&[toy_design(7)], &cfg);
+    }
+
+    #[test]
     fn discounted_returns_shapes() {
         let q = discounted_returns([1.0f32, 1.0, 1.0].into_iter(), 0.5, 0.0);
         assert_eq!(q, vec![1.75, 1.5, 1.0]);
@@ -983,8 +906,9 @@ mod tests {
         let l = [1.0f32, 2.0, 3.0];
         let mut m = Mask::all_set(3);
         m.clear(1);
-        let out = masked_logits(&l, Some(&m));
-        let p = ops::softmax(&out);
+        let mut p = l.to_vec();
+        apply_mask(&mut p, &m);
+        ops::softmax_in_place(&mut p);
         assert!(p[1] < 1e-6);
         assert!((p[0] + p[2] - 1.0).abs() < 1e-5);
     }
@@ -998,8 +922,8 @@ mod tests {
         assert!(m.get(63) && m.get(65), "neighbours untouched");
         m.clear(129);
         assert!(!m.get(129));
-        let l: Vec<f32> = vec![0.0; 130];
-        let masked = masked_logits(&l, Some(&m));
+        let mut masked: Vec<f32> = vec![0.0; 130];
+        apply_mask(&mut masked, &m);
         assert_eq!(
             masked.iter().filter(|&&x| x == -1e9).count(),
             2,

@@ -1,20 +1,23 @@
 //! A deterministic, checkpointable A3C training driver.
 //!
-//! [`train`](crate::train::train) runs its agents on OS threads, so the
+//! [`train`](crate::train::train) runs its agents concurrently, so the
 //! interleaving of shared-network updates — and therefore the resulting
 //! parameters — depends on the scheduler whenever `agents > 1`. That is
 //! fine for throughput but fatal for crash recovery: a resumed run could
 //! never be checked against an uninterrupted one. [`Trainer`] runs the
-//! *same* per-agent episode logic (literally the same
-//! `run_subepisode`/`update` code) in a deterministic round-robin — for
-//! each episode, every agent in index order — which makes the whole
-//! training trajectory a pure function of `(designs, cfg)` and lets
-//! [`Trainer::state`] capture it completely: parameters, optimizer
+//! *same* per-agent episode (`Agent::run_episode` over the shared
+//! `run_gcells` stepping loop) in a deterministic round-robin — for each
+//! episode, every agent in index order, one Gcell at a time — which makes
+//! the whole training trajectory a pure function of `(designs, cfg)` and
+//! lets [`Trainer::state`] capture it completely: parameters, optimizer
 //! moments, per-agent RNG states, counters, and the learning curve, all
 //! bit-exact. Resuming from a [`TrainerState`] (persisted through
 //! [`CheckpointStore`](crate::checkpoint::CheckpointStore)) is
 //! bit-identical to never having stopped — proptested in
 //! `tests/resume_prop.rs`.
+//!
+//! Construction and [`Trainer::finish`] are shared with `train`, which
+//! builds its template network, shared store and agent RNG streams here.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,7 +30,7 @@ use crate::checkpoint::TrainerState;
 use crate::config::RlConfig;
 use crate::env::LegalizeEnv;
 use crate::model::CellWiseNet;
-use crate::train::{pretrain, run_subepisode, Shared, TrainResult, TrainSample};
+use crate::train::{build_envs, pretrain, Agent, Shared, TrainResult};
 
 /// Why a [`TrainerState`] could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,9 +100,9 @@ pub struct Trainer {
     cfg: RlConfig,
     /// Network used as a structural template (parameters live in `shared`).
     template: CellWiseNet,
-    shared: Shared,
-    /// Per-agent policy-sampling RNG streams.
-    rngs: Vec<ChaCha8Rng>,
+    pub(crate) shared: Shared,
+    /// The agents, in index order, with their policy-sampling RNG streams.
+    pub(crate) agents: Vec<Agent>,
     /// One environment per design, shared by the (sequential) agents and
     /// reset before every episode; rebuilt — not checkpointed — because
     /// `LegalizeEnv::reset` restores the full per-episode state.
@@ -114,10 +117,18 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics when `designs` is empty or `cfg.agents == 0`.
+    /// Panics when `designs` is empty, `cfg.agents == 0` or
+    /// `cfg.batch_size == 0`.
     pub fn new(designs: &[Design], cfg: &RlConfig) -> Self {
-        assert!(!designs.is_empty(), "training needs at least one design");
-        assert!(cfg.agents > 0, "need at least one agent");
+        let mut trainer = Self::without_envs(designs, cfg);
+        trainer.envs = build_envs(designs, cfg);
+        trainer
+    }
+
+    /// [`Trainer::new`] minus the round-robin environments: `train` gives
+    /// each of its concurrent agents its own.
+    pub(crate) fn without_envs(designs: &[Design], cfg: &RlConfig) -> Self {
+        check_inputs(designs, cfg);
         let mut init_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut template = CellWiseNet::new(cfg.hidden_dim, &mut init_rng);
         if cfg.pretrain_episodes > 0 {
@@ -125,27 +136,31 @@ impl Trainer {
         }
         let shared = Shared::fresh(template.params_flat(), cfg.learning_rate);
         let rngs = (0..cfg.agents)
-            .map(|agent| ChaCha8Rng::seed_from_u64(cfg.seed ^ ((agent as u64 + 1) * 0x9E37)))
+            .map(|agent| ChaCha8Rng::seed_from_u64(cfg.seed ^ ((agent as u64 + 1) * 0x9E37)));
+        Self::from_parts(cfg.clone(), template, shared, rngs)
+    }
+
+    /// A trainer at episode 0 with one agent per RNG stream and no
+    /// environments.
+    fn from_parts(
+        cfg: RlConfig,
+        template: CellWiseNet,
+        shared: Shared,
+        rngs: impl Iterator<Item = ChaCha8Rng>,
+    ) -> Self {
+        let agents = rngs
+            .enumerate()
+            .map(|(index, rng)| Agent::new(index, rng, template.clone()))
             .collect();
         Self {
-            cfg: cfg.clone(),
+            cfg,
             template,
             shared,
-            rngs,
-            envs: Self::build_envs(designs, cfg),
+            agents,
+            envs: Vec::new(),
             episode: 0,
             steps: 0,
         }
-    }
-
-    fn build_envs(designs: &[Design], cfg: &RlConfig) -> Vec<LegalizeEnv> {
-        designs
-            .iter()
-            .map(|d| {
-                let gcells = rlleg_legalize::GcellGrid::auto(d);
-                LegalizeEnv::with_options(d.clone(), gcells, cfg.backend)
-            })
-            .collect()
     }
 
     /// Episodes completed so far.
@@ -169,60 +184,10 @@ impl Trainer {
         if self.done() {
             return false;
         }
-        let episode = self.episode;
-        let lr = self.cfg.learning_rate * self.cfg.lr_decay.powi(episode as i32);
-        for agent in 0..self.cfg.agents {
-            let di = (agent + episode) % self.envs.len();
-            // Fresh local copy of the current global parameters — the
-            // deterministic analogue of the async agents' refresh-after-
-            // update, and what keeps the checkpoint state minimal (locals
-            // never need to be persisted). Kept around as the snapshot
-            // `shared.best` records if this episode sets a new best cost.
-            let mut local = self.template.clone();
-            let ep_params = self.shared.store.snapshot();
-            local.set_params_flat(&ep_params);
-            self.envs[di].reset();
-            let mut failures = 0usize;
-            let mut steps = 0usize;
-            for g in self.envs[di].subepisode_order() {
-                let (f, s) = run_subepisode(
-                    &mut self.envs[di],
-                    g,
-                    &mut local,
-                    &self.shared,
-                    &self.cfg,
-                    lr,
-                    &mut self.rngs[agent],
-                );
-                failures += f;
-                steps += s;
-            }
+        for agent in &mut self.agents {
+            let steps =
+                agent.run_episode(&mut self.envs, &self.shared, &self.cfg, self.episode, false);
             self.steps += steps as u64;
-            let cost = self.envs[di].legalization_cost();
-            if !telemetry::disabled() {
-                telemetry::counter("train.steps").add(steps as u64);
-                telemetry::counter("train.episodes").inc();
-                telemetry::histogram("train.episode_cost", telemetry::buckets::MAGNITUDE)
-                    .record(cost);
-            }
-            let sample = TrainSample {
-                agent,
-                episode,
-                design: self.envs[di].design().name.clone(),
-                cost,
-                failures,
-                qor: self.envs[di].qor(),
-            };
-            self.shared.history.lock().push(sample);
-            // Record the parameters the episode *started* from — the ones
-            // that actually produced the recorded cost. (The old code
-            // stored the post-update locals, a strictly newer version the
-            // episode never ran with.)
-            let mut best = self.shared.best.lock();
-            if cost < best.0 {
-                best.0 = cost;
-                best.1 = ep_params;
-            }
         }
         self.episode += 1;
         true
@@ -252,7 +217,7 @@ impl Trainer {
             steps: self.steps,
             params_bits: params.iter().map(|x| x.to_bits()).collect(),
             adam: self.shared.opt.lock().to_raw(),
-            rng_words: self.rngs.iter().flat_map(|r| r.state()).collect(),
+            rng_words: self.agents.iter().flat_map(|a| a.rng.state()).collect(),
             best_cost_bits: best.0.to_bits(),
             best_params_bits: best.1.iter().map(|x| x.to_bits()).collect(),
             history: self.shared.history.lock().clone(),
@@ -269,15 +234,19 @@ impl Trainer {
     ///
     /// Returns a [`RestoreError`] when the state is inconsistent with the
     /// configuration it carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the inputs [`Trainer::new`] rejects.
     pub fn restore(designs: &[Design], state: &TrainerState) -> Result<Self, RestoreError> {
-        assert!(!designs.is_empty(), "training needs at least one design");
         let cfg = state.cfg.clone();
-        assert!(cfg.agents > 0, "need at least one agent");
-        // Structural template only: every parameter is overwritten below,
-        // so the construction RNG draws don't matter (and pretrain must
-        // NOT run again).
+        check_inputs(designs, &cfg);
+        // Structural template only: its parameters are never read (agents
+        // sync from the store, `finish` overwrites both models), so the
+        // construction RNG draws don't matter (and pretrain must NOT run
+        // again).
         let mut init_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut template = CellWiseNet::new(cfg.hidden_dim, &mut init_rng);
+        let template = CellWiseNet::new(cfg.hidden_dim, &mut init_rng);
         let n_params = template.num_params();
         if state.params_bits.len() != n_params {
             return Err(RestoreError::ParamCount {
@@ -303,7 +272,6 @@ impl Trainer {
             .iter()
             .map(|&b| f32::from_bits(b))
             .collect();
-        template.set_params_flat(&params);
         let best_params: Vec<f32> = state
             .best_params_bits
             .iter()
@@ -318,19 +286,15 @@ impl Trainer {
         let rngs = state
             .rng_words
             .chunks_exact(4)
-            .map(|w| ChaCha8Rng::from_state([w[0], w[1], w[2], w[3]]))
-            .collect();
+            .map(|w| ChaCha8Rng::from_state([w[0], w[1], w[2], w[3]]));
         if !telemetry::disabled() {
             telemetry::counter("ckpt.restored").inc();
         }
         Ok(Self {
-            envs: Self::build_envs(designs, &cfg),
-            cfg,
-            template,
-            shared,
-            rngs,
+            envs: build_envs(designs, &cfg),
             episode: state.episode,
             steps: state.steps,
+            ..Self::from_parts(cfg, template, shared, rngs)
         })
     }
 
@@ -351,6 +315,14 @@ impl Trainer {
             history,
         }
     }
+}
+
+/// The configuration checks every trainer constructor shares.
+fn check_inputs(designs: &[Design], cfg: &RlConfig) {
+    assert!(!designs.is_empty(), "training needs at least one design");
+    assert!(cfg.agents > 0, "need at least one agent");
+    // A zero batch would never advance the update chunk loops.
+    assert!(cfg.batch_size > 0, "batch_size must be positive");
 }
 
 #[cfg(test)]

@@ -76,6 +76,31 @@ pub struct JobStats {
     pub wall_ms: u64,
 }
 
+/// Widest network a job may request: the top of the paper's Bayesian
+/// search range (see `RlConfig::tuned`). `hidden` is a `u16`, and at 65535
+/// the trunk's 65535² weight matrix alone is a 16 GiB allocation whose
+/// failure aborts the whole process.
+pub const MAX_HIDDEN: u16 = 512;
+
+/// Refuses a network width the executor must not build, for the job kinds
+/// that build a network. The server calls this before journalling a
+/// submission; the executor calls it again so a job journalled by an older
+/// build fails with a reason instead of aborting every restart.
+///
+/// # Errors
+///
+/// Returns the refusal reason when `spec.hidden` exceeds [`MAX_HIDDEN`].
+pub fn check_network_width(spec: &JobSpec) -> Result<(), String> {
+    let builds_network = matches!(spec.kind, JobKind::RlLegalize | JobKind::Train);
+    if builds_network && spec.hidden > MAX_HIDDEN {
+        return Err(format!(
+            "hidden width {} exceeds the maximum {MAX_HIDDEN}",
+            spec.hidden
+        ));
+    }
+    Ok(())
+}
+
 /// Parses the job's LEF/DEF into a [`Design`].
 fn parse_input(spec: &JobSpec) -> Result<Design, String> {
     let tech = match spec.tech {
@@ -139,6 +164,7 @@ pub fn run_job(
     spec: &JobSpec,
     remaining_ms: Option<u64>,
 ) -> Result<JobOutcome, String> {
+    check_network_width(spec)?;
     let t0 = Instant::now();
     let mut stats = JobStats {
         kind: spec.kind as u8,
@@ -588,6 +614,28 @@ mod tests {
                 .join(format!("rlleg-serve-exec-{tag}-{}", std::process::id())),
             chaos_enabled: false,
             ckpt_every: 2,
+        }
+    }
+
+    #[test]
+    fn network_width_is_capped_only_where_a_network_is_built() {
+        let spec = |kind, hidden| JobSpec {
+            kind,
+            hidden,
+            ..JobSpec::default()
+        };
+        for kind in [JobKind::RlLegalize, JobKind::Train] {
+            assert!(check_network_width(&spec(kind, MAX_HIDDEN)).is_ok());
+            assert!(check_network_width(&spec(kind, MAX_HIDDEN + 1)).is_err());
+            // The executor refuses before parsing or building anything.
+            let table = JobTable::new();
+            let wide = spec(kind, u16::MAX);
+            let id = table.insert(wide.clone());
+            let err = run_job(&exec_cfg("wide"), &table, id, &wide, None).expect_err("refused");
+            assert_eq!(err, "hidden width 65535 exceeds the maximum 512");
+        }
+        for kind in [JobKind::Legalize, JobKind::Gplace] {
+            assert!(check_network_width(&spec(kind, u16::MAX)).is_ok());
         }
     }
 

@@ -112,7 +112,8 @@ pub struct JobSpec {
     pub threads: u8,
     /// Chaos-injection bits (see [`flags`]); zero in production traffic.
     pub flags: u8,
-    /// Hidden width of the seeded network for RL / training jobs.
+    /// Hidden width of the seeded network for RL / training jobs, at most
+    /// [`crate::exec::MAX_HIDDEN`] (wider submissions are refused).
     pub hidden: u16,
     /// Episodes for training jobs.
     pub episodes: u32,

@@ -32,7 +32,7 @@ use rlleg_design::fsio::write_atomic;
 
 use crate::admission::{self, Admission, Verdict};
 use crate::conn::{Conn, Mode};
-use crate::exec::{ExecConfig, Executors};
+use crate::exec::{self, ExecConfig, Executors};
 use crate::http;
 use crate::job::{state, unix_ms_now, JobId, JobOutcome, JobTable};
 use crate::poll::{self, Interest};
@@ -500,6 +500,7 @@ impl EventLoop {
         if spec.def.is_empty() {
             return Err((reject::BAD_REQUEST, "empty DEF payload".into()));
         }
+        exec::check_network_width(&spec).map_err(|e| (reject::BAD_REQUEST, e))?;
         let cost = admission::cost_of(&spec);
         match self
             .admission

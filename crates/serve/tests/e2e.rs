@@ -13,9 +13,10 @@ use rlleg_benchgen::{find_spec, generate};
 use rlleg_design::def::{parse_def, write_def};
 use rlleg_design::{legality, Technology};
 use rlleg_serve::client::{Client, ClientError};
-use rlleg_serve::job::state;
+use rlleg_serve::job::{state, unix_ms_now};
 use rlleg_serve::proto::{self, flags, Frame, FrameReader, JobKind, JobSpec};
 use rlleg_serve::server::{ServeConfig, Server, ServerHandle};
+use rlleg_serve::wal::Wal;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -784,4 +785,110 @@ fn query_answers_unknown_for_bogus_ids() {
     assert_eq!(st, state::UNKNOWN);
     handle.shutdown_graceful();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes in the server's journal directory.
+fn journal_bytes(data_dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(data_dir.join("wal"))
+        .expect("journal dir")
+        .map(|e| e.expect("entry").metadata().expect("metadata").len())
+        .sum()
+}
+
+#[test]
+fn oversized_network_width_is_refused_before_the_journal() {
+    let (handle, dir) = start("wide", |_| {});
+    let addr = handle.addr();
+    let def = small_def(0.002);
+    let before = journal_bytes(&dir);
+
+    // HTTP: a 65535-wide network would need a 16 GiB trunk matrix.
+    for kind in ["rl", "train"] {
+        let resp = http_to(
+            addr,
+            format!(
+                "POST /jobs?kind={kind}&hidden=65535 HTTP/1.1\r\nHost: x\r\n\
+                 Content-Length: {}\r\n\r\n{def}",
+                def.len()
+            ),
+        );
+        assert!(resp.starts_with("HTTP/1.1 400"), "{kind}: {resp}");
+        assert!(resp.contains("hidden width 65535"), "{kind}: {resp}");
+    }
+
+    // Binary protocol: REJECTED with BAD_REQUEST.
+    let mut client = Client::connect(addr, TIMEOUT).expect("connect");
+    let wide = JobSpec {
+        kind: JobKind::RlLegalize,
+        hidden: u16::MAX,
+        def: def.clone(),
+        ..JobSpec::default()
+    };
+    match client.submit(&wide, TIMEOUT) {
+        Err(ClientError::Rejected { code, reason }) => {
+            assert_eq!(code, proto::reject::BAD_REQUEST, "{reason}");
+        }
+        other => panic!("a 65535-wide network must be refused: {other:?}"),
+    }
+    assert_eq!(
+        journal_bytes(&dir),
+        before,
+        "a refused submission must not be journalled"
+    );
+
+    // The server kept serving, on the same connection.
+    let result = client
+        .run(&JobSpec { hidden: 8, ..wide }, TIMEOUT)
+        .expect("a narrow job runs");
+    assert!(result.ok, "stats: {}", result.stats);
+    handle.shutdown_graceful();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journalled_oversized_network_fails_on_restart_instead_of_aborting() {
+    // A journal written by a build that accepted any width: the job was
+    // acknowledged, so every restart replays it.
+    let data_dir =
+        std::env::temp_dir().join(format!("rlleg-serve-e2e-widewal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    {
+        let (wal, recovered, _) = Wal::open(&data_dir.join("wal"), 1 << 20).expect("open journal");
+        assert!(recovered.is_empty());
+        let spec = JobSpec {
+            kind: JobKind::RlLegalize,
+            hidden: u16::MAX,
+            def: small_def(0.002),
+            ..JobSpec::default()
+        };
+        wal.append_accepted(1, unix_ms_now(), &spec)
+            .expect("journal the old acceptance");
+    }
+    let handle = Server::start(ServeConfig {
+        data_dir: data_dir.clone(),
+        ..ServeConfig::default()
+    })
+    .expect("restart on the old journal");
+    let addr = handle.addr();
+    let t0 = Instant::now();
+    let status = loop {
+        let st = http_to(addr, "GET /jobs/1 HTTP/1.1\r\nHost: x\r\n\r\n".into());
+        if st.contains("\"state\":\"failed\"") {
+            break st;
+        }
+        assert!(!st.contains("\"state\":\"done\""), "must not run: {st}");
+        assert!(t0.elapsed() < TIMEOUT, "job never failed: {st}");
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    assert!(
+        status.contains("hidden width 65535 exceeds the maximum 512"),
+        "the failure must carry its reason: {status}"
+    );
+    let health = http_to(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".into());
+    assert!(
+        health.starts_with("HTTP/1.1 200"),
+        "still serving: {health}"
+    );
+    handle.shutdown_graceful();
+    let _ = std::fs::remove_dir_all(&data_dir);
 }
