@@ -128,7 +128,7 @@ impl CellWiseNet {
     /// [`values_batch`](Self::values_batch): the asynchronous trainer
     /// gathers the per-Gcell states of one macro-step and evaluates them
     /// in a single blocked-GEMM pass. The per-cell network is applied
-    /// row-wise, and the register-tiled kernel is bit-identical to the
+    /// row-wise, and the row-broadcast kernel is bit-identical to the
     /// naive per-state path, so each returned vector equals the
     /// corresponding [`forward_policy`](Self::forward_policy) call bit
     /// for bit (proptested in `tests/batch_prop.rs`).

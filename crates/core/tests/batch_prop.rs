@@ -3,8 +3,9 @@
 //! **bit-identical** to evaluating each state through `forward_policy` on
 //! its own. This is the contract that lets the asynchronous trainer batch
 //! logits across Gcells without changing a single sampled action for a
-//! given RNG stream — the blocked GEMM under the hood accumulates every
-//! output row independently, in the same k-order as the naive kernel.
+//! given RNG stream — the row-broadcast kernel under the hood accumulates
+//! every output row independently, in the same k-order as the naive
+//! kernel.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -33,10 +34,11 @@ proptest! {
 
     #[test]
     fn batched_policy_forward_is_bit_identical_to_per_state(
-        hidden in 4usize..24,
+        // Up to 48: past one 16-column tile of the row-broadcast kernel.
+        hidden in 4usize..=48,
         net_seed in 0u64..1_000,
         value_seed in 0u64..1_000,
-        // Mix of tiny (below the blocked-GEMM threshold) and larger
+        // Mix of tiny (below `BLOCKED_MIN_ROWS`) and larger
         // (above it) states in one batch.
         row_counts in proptest::collection::vec(1usize..40, 1..8),
     ) {

@@ -39,7 +39,9 @@ pub fn check(sc: &Scenario, nn_seed: u64, deep: bool) -> Vec<Failure> {
         return failures;
     }
     let state = env.state(&cells);
-    let net = CellWiseNet::new(rng.gen_range(8..=24usize), &mut rng);
+    // Widths past 32 cross two 16-column tiles of the row-broadcast
+    // kernel and end on a shifted tail tile.
+    let net = CellWiseNet::new(rng.gen_range(8..=48usize), &mut rng);
 
     // Policy simplex: finite, non-negative, sums to 1.
     let p = net.priorities(&state);

@@ -19,7 +19,12 @@
 //! The paper notes feature maintenance dominates runtime ("about 80 % of
 //! the time spent on the feature extraction phase"); [`FeatureSpace`]
 //! therefore updates everything incrementally when a cell moves instead of
-//! recomputing the design.
+//! recomputing the design. Feature 6 is kept as a per-cell column: it
+//! depends only on the cell's own rectangle, the static obstacles and the
+//! core, so it is computed once per movable cell at construction and again
+//! only for a cell that moves. Building a state then costs no R-tree query at
+//! all; each move costs four (old footprint, new footprint, obstacle
+//! overlaps, and the moved cell's two nearest obstacles).
 
 use rlleg_design::{CellId, Design};
 use rlleg_geom::{rtree::RTree, Point, Rect};
@@ -44,6 +49,8 @@ pub struct FeatureSpace {
     gcell_of_cell: Vec<usize>,
     // Static per design.
     obstacles: RTree<u32>,
+    // Feature 6 per movable cell; changes only when the cell itself moves.
+    obstacle_dist: Vec<f32>,
     gcell_count: Vec<i32>,
     avg_bin_area: f64,
     bin_placeable: Vec<f64>,
@@ -108,6 +115,7 @@ impl FeatureSpace {
         let mut bin_of_cell = vec![usize::MAX; n];
         let mut bin_cell_area = vec![0.0f64; bins.len()];
         let mut overlap_count = vec![0i32; n];
+        let mut obstacle_dist = vec![0.0f32; n];
         for id in design.movable_ids() {
             let c = design.cell(id);
             let b = bins.bin_of(cell_center(c.pos, c.rect(rh)));
@@ -117,6 +125,7 @@ impl FeatureSpace {
             let movable_overlaps = movable_tree.query(&r).filter(|(_, &v)| v != id.0).count();
             let fixed_overlaps = obstacles.count_overlapping(&r);
             overlap_count[id.index()] = (movable_overlaps + fixed_overlaps) as i32;
+            obstacle_dist[id.index()] = obstacle_distance(&obstacles, design, r);
         }
         let mut bin_overlap_cells = vec![0i32; bins.len()];
         for id in design.movable_ids() {
@@ -135,6 +144,7 @@ impl FeatureSpace {
             height_dbu,
             gcell_of_cell,
             obstacles,
+            obstacle_dist,
             gcell_count,
             avg_bin_area,
             bin_placeable,
@@ -164,7 +174,6 @@ impl FeatureSpace {
 
     /// The 13 features of `cell` at the design's current state.
     pub fn features_of(&self, design: &Design, cell: CellId) -> [f32; NUM_FEATURES] {
-        let rh = design.tech.row_height;
         let c = design.cell(cell);
         let i = cell.index();
         let b = self.bin_of_cell[i];
@@ -178,7 +187,7 @@ impl FeatureSpace {
             self.height_dbu[i],
             self.net_count[i],
             self.overlap_count[i] as f32,
-            self.obstacle_distance(design, c.rect(rh)),
+            self.obstacle_dist[i],
             ca as f32,
             self.bin_placeable[b] as f32,
             self.bin_overlap_cells[b] as f32,
@@ -209,31 +218,12 @@ impl FeatureSpace {
         }
     }
 
-    /// Average Manhattan distance of the two nearest obstacles or design
-    /// boundaries from the cell (feature 6, `OD`).
-    fn obstacle_distance(&self, design: &Design, rect: Rect) -> f32 {
-        if !telemetry::disabled() {
-            telemetry::counter("legalize.features.rtree_queries").inc();
-        }
-        let centre = rect.center();
-        let mut dists: Vec<i64> = self
-            .obstacles
-            .nearest(centre, 2)
-            .map(|(_, _, d)| d)
-            .collect();
-        dists.push(centre.x - design.core.lo.x);
-        dists.push(design.core.hi.x - centre.x);
-        dists.push(centre.y - design.core.lo.y);
-        dists.push(design.core.hi.y - centre.y);
-        dists.sort_unstable();
-        (dists[0] + dists[1]) as f32 / 2.0
-    }
-
     /// Updates all dynamic features after `cell` moved from `old_pos` to
     /// its current `design` position. Call *after* mutating the design.
     pub fn on_cell_moved(&mut self, design: &Design, cell: CellId, old_pos: Point) {
         if !telemetry::disabled() {
-            // Old-footprint query, new-footprint query, obstacle overlap count.
+            // Old-footprint query, new-footprint query, obstacle overlap
+            // count; `obstacle_distance` counts its own query.
             telemetry::counter("legalize.features.rtree_queries").add(3);
         }
         let rh = design.tech.row_height;
@@ -285,6 +275,7 @@ impl FeatureSpace {
             self.bin_overlap_cells[new_bin] += 1;
         }
         self.movable_tree.insert(new_rect, cell.0);
+        self.obstacle_dist[i] = obstacle_distance(&self.obstacles, design, new_rect);
     }
 
     /// Records that `cell` (which just moved from `old_pos`) is now
@@ -307,6 +298,22 @@ impl FeatureSpace {
             self.bin_overlap_cells[b] -= 1;
         }
     }
+}
+
+/// Average Manhattan distance of the two nearest obstacles or design
+/// boundaries from the centre of `rect` (feature 6, `OD`).
+fn obstacle_distance(obstacles: &RTree<u32>, design: &Design, rect: Rect) -> f32 {
+    if !telemetry::disabled() {
+        telemetry::counter("legalize.features.rtree_queries").inc();
+    }
+    let centre = rect.center();
+    let mut dists: Vec<i64> = obstacles.nearest(centre, 2).map(|(_, _, d)| d).collect();
+    dists.push(centre.x - design.core.lo.x);
+    dists.push(design.core.hi.x - centre.x);
+    dists.push(centre.y - design.core.lo.y);
+    dists.push(design.core.hi.y - centre.y);
+    dists.sort_unstable();
+    (dists[0] + dists[1]) as f32 / 2.0
 }
 
 /// Bin membership is decided by the cell centre.
@@ -453,6 +460,53 @@ mod tests {
         // Two nearest: 1000 (bottom), 1200 (left) => avg 1100.
         let f = fs.features_of(&d, CellId(0));
         assert_eq!(f[6], 1_100.0);
+    }
+
+    #[test]
+    fn cached_obstacle_distance_equals_a_fresh_build_bit_for_bit() {
+        let mut b = DesignBuilder::new("od", Technology::contest(), 60, 24);
+        b.add_fixed_cell("m0", 4, 4, Point::new(2_000, 6_000));
+        b.add_fixed_cell("m1", 6, 2, Point::new(7_000, 20_000));
+        b.add_fixed_cell("m2", 3, 4, Point::new(4_200, 30_000));
+        b.add_fixed_cell("m3", 5, 3, Point::new(9_600, 2_000));
+        for i in 0..36i64 {
+            b.add_cell(
+                format!("u{i}"),
+                1 + i % 3,
+                1 + (i % 4 == 0) as u8,
+                Point::new((i * 337) % 11_000, (i * 2_711) % 44_000),
+            );
+        }
+        let mut d = b.build();
+        let g = GcellGrid::new(&d, 2, 2);
+        let mut fs = FeatureSpace::new(&d, &g);
+        let mut lg = crate::Legalizer::new(&d);
+        let movable: Vec<CellId> = d.movable_ids().collect();
+        // Raw moves first (as a placer would make), then legalize every
+        // cell in a scrambled order (as the environment does).
+        for &id in movable.iter().step_by(5) {
+            let old = d.cell(id).pos;
+            d.cell_mut(id).pos = Point::new(old.x / 2 + 400, old.y / 3 + 1_000);
+            fs.on_cell_moved(&d, id, old);
+        }
+        for k in 0..movable.len() {
+            let id = movable[(k * 7) % movable.len()];
+            let old = d.cell(id).pos;
+            if lg.legalize_cell(&mut d, id).is_ok() {
+                fs.on_cell_legalized(&d, id, old);
+            }
+        }
+        assert!(d.movable_ids().any(|id| d.cell(id).legalized));
+        let fresh = FeatureSpace::new(&d, &g);
+        for id in d.movable_ids() {
+            let cached = fs.features_of(&d, id)[6];
+            let rebuilt = fresh.features_of(&d, id)[6];
+            assert_eq!(
+                cached.to_bits(),
+                rebuilt.to_bits(),
+                "cell {id}: cached OD {cached} vs fresh {rebuilt}"
+            );
+        }
     }
 
     #[test]

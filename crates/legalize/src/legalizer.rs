@@ -103,16 +103,8 @@ impl Legalizer {
 
     /// Creates a legalizer with explicit search configuration.
     pub fn with_config(design: &Design, search: SearchConfig) -> Self {
-        let mut grid = PixelGrid::new(design);
-        for id in design.movable_ids() {
-            let c = design.cell(id);
-            if c.legalized {
-                let pos = grid.to_grid(design, c.pos);
-                grid.place(design, id, pos);
-            }
-        }
         Self {
-            grid,
+            grid: PixelGrid::with_committed(design),
             hot: design.hot_cells(),
             search,
         }

@@ -364,6 +364,29 @@ impl PixelGrid {
         grid
     }
 
+    /// [`new`](Self::new), then places every already-legalized movable
+    /// cell at its committed position.
+    ///
+    /// Cells are registered in ascending `(x, id)` order, so each
+    /// [`place`](Self::place) check sees the cell's true left neighbour on
+    /// every row and no right neighbour yet. In id order, a neighbour
+    /// registered before the cell between them would look adjacent and
+    /// fail the edge-spacing check of a legal placement. The final grid
+    /// does not depend on the order.
+    pub fn with_committed(design: &Design) -> Self {
+        let mut grid = Self::new(design);
+        let mut committed: Vec<CellId> = design
+            .movable_ids()
+            .filter(|&id| design.cell(id).legalized)
+            .collect();
+        committed.sort_unstable_by_key(|&id| (design.cell(id).pos.x, id.0));
+        for id in committed {
+            let pos = grid.to_grid(design, design.cell(id).pos);
+            grid.place(design, id, pos);
+        }
+        grid
+    }
+
     /// Rebuilds both bitmaps from the occupant array (construction only;
     /// `place`/`remove` maintain them incrementally afterwards).
     fn rebuild_bits(&mut self) {

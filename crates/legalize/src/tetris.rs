@@ -46,14 +46,7 @@ impl TetrisLegalizer {
     /// Creates the legalizer, rasterizing fixed and already-legalized
     /// cells and starting every row frontier at site 0.
     pub fn new(design: &Design) -> Self {
-        let mut grid = PixelGrid::new(design);
-        for id in design.movable_ids() {
-            let c = design.cell(id);
-            if c.legalized {
-                let pos = grid.to_grid(design, c.pos);
-                grid.place(design, id, pos);
-            }
-        }
+        let grid = PixelGrid::with_committed(design);
         let rows = grid.rows() as usize;
         Self {
             grid,

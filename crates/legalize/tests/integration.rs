@@ -5,8 +5,9 @@
 //! types, and mixed heights.
 
 use rlleg_benchgen::{find_spec, generate};
-use rlleg_design::{legality, metrics::Qor};
-use rlleg_legalize::{GcellGrid, Legalizer, Ordering};
+use rlleg_design::{legality, metrics::Qor, DesignBuilder, EdgeType, Technology};
+use rlleg_geom::Point;
+use rlleg_legalize::{GcellGrid, Legalizer, Ordering, TetrisLegalizer};
 
 fn legalize_and_check(name: &str, scale: f64, ordering: Ordering) -> Qor {
     let spec = find_spec(name).expect("spec exists").scaled(scale);
@@ -103,4 +104,32 @@ fn order_changes_qor_on_generated_designs() {
         disps.iter().any(|&d| d != disps[0]),
         "QoR should vary with order: {disps:?}"
     );
+}
+
+/// Two committed type-2 cells that need 400 dbu between them, kept apart
+/// by a one-site type-0 cell with a higher id. Re-registering the
+/// committed cells in id order would check the second type-2 cell against
+/// the first one 200 dbu away before the middle cell is in the grid, and
+/// trip the edge-spacing debug assertion in `PixelGrid::place`.
+#[test]
+fn committed_cells_re_register_without_false_edge_spacing_violations() {
+    let mut b = DesignBuilder::new("es", Technology::contest(), 20, 1);
+    let left = b.add_cell("left", 2, 1, Point::new(1_000, 0));
+    let right = b.add_cell("right", 2, 1, Point::new(1_600, 0));
+    let mid = b.add_cell("mid", 1, 1, Point::new(1_400, 0));
+    let e2 = EdgeType(2);
+    b.set_edges(left, e2, e2).set_edges(right, e2, e2);
+    let mut design = b.build();
+    for id in [left, right, mid] {
+        design.cell_mut(id).legalized = true;
+    }
+    assert!(legality::check(&design, true).is_empty());
+
+    let sites = [(5, left), (6, left), (7, mid), (8, right), (9, right)];
+    let lg = Legalizer::new(&design);
+    let tetris = TetrisLegalizer::new(&design);
+    for (site, id) in sites {
+        assert_eq!(lg.grid().occupant(site, 0), Some(id));
+        assert_eq!(tetris.grid().occupant(site, 0), Some(id));
+    }
 }

@@ -1,13 +1,18 @@
 use serde::{Deserialize, Serialize};
 
 /// Row count at which [`Matrix::matmul`] / [`Matrix::matmul_t`] switch from
-/// the naive loops to the register-tiled kernel.
+/// the naive loops to the row-broadcast kernel.
 ///
-/// Per-state inference matrices have 2–13 rows (one per movable cell in a
-/// subepisode window) and stay on the naive path where tile setup would
-/// dominate; batched evaluation over hundreds of states crosses this
-/// threshold and gets the tiled kernel.
+/// Per-state inference matrices of small subepisode windows have a handful
+/// of rows and stay on the naive path, where packing and tile setup would
+/// dominate; Gcell-sized states and batched evaluation over hundreds of
+/// rows cross this threshold and get the row-broadcast kernel.
 pub const BLOCKED_MIN_ROWS: usize = 16;
+
+/// Output columns one row-broadcast tile keeps live per row. Products with
+/// fewer output columns (the one-column policy and value heads) stay on
+/// the naive loops.
+const TILE_COLS: usize = 16;
 
 /// A dense row-major `f32` matrix.
 ///
@@ -82,9 +87,9 @@ impl Matrix {
     /// This is the batching primitive: stacking many per-state matrices
     /// and running one forward pushes the row count past
     /// [`BLOCKED_MIN_ROWS`], so the whole batch goes through the
-    /// register-tiled kernel instead of many naive small products — with
-    /// bit-identical per-row results, because the tiled and naive kernels
-    /// produce identical sums for every row independently.
+    /// row-broadcast kernel instead of many naive small products — with
+    /// bit-identical per-row results, because the row-broadcast and naive
+    /// kernels produce identical sums for every row independently.
     ///
     /// # Panics
     ///
@@ -155,11 +160,12 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Large products transpose `rhs` once and run the register-tiled
-    /// kernel of [`matmul_t`](Self::matmul_t); small ones (fewer than
-    /// [`BLOCKED_MIN_ROWS`] rows) fall through to
-    /// [`matmul_naive`](Self::matmul_naive), where the transpose cost and
-    /// tile bookkeeping would dominate.
+    /// Products with at least [`BLOCKED_MIN_ROWS`] rows and 16 output
+    /// columns run the row-broadcast kernel straight on `rhs` (already
+    /// laid out `k × n`); smaller ones fall through to
+    /// [`matmul_naive`](Self::matmul_naive). Both accumulate each output
+    /// element over `k` in ascending order from `+0.0`, so the result is
+    /// bit-identical either way.
     ///
     /// # Panics
     ///
@@ -170,23 +176,14 @@ impl Matrix {
             "matmul {}x{} · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if self.rows < BLOCKED_MIN_ROWS {
+        if self.rows < BLOCKED_MIN_ROWS || rhs.cols < TILE_COLS {
             return self.matmul_naive(rhs);
         }
-        // Pack rhsᵀ (cols × rows, row-major) so every dot product in the
-        // tiled kernel streams both operands contiguously.
-        let mut rt = Matrix::zeros(rhs.cols, rhs.rows);
-        for r in 0..rhs.rows {
-            let brow = &rhs.data[r * rhs.cols..(r + 1) * rhs.cols];
-            for (c, &b) in brow.iter().enumerate() {
-                rt.data[c * rhs.rows + r] = b;
-            }
-        }
-        self.matmul_t_blocked(&rt, 0.0)
+        self.matmul_row_broadcast(&rhs.data, rhs.cols, 0.0)
     }
 
     /// Reference `self · rhs`: the straightforward ikj triple loop, kept as
-    /// the test oracle for the tiled kernel behind
+    /// the test oracle for the row-broadcast kernel behind
     /// [`matmul`](Self::matmul).
     ///
     /// # Panics
@@ -234,25 +231,35 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self · rhsᵀ` without materializing the transpose.
+    /// Matrix product `self · rhsᵀ`.
     ///
     /// This is the inference hot path (`Linear` stores weights `out × in`,
     /// so every forward is an `x · Wᵀ`). Products with at least
-    /// [`BLOCKED_MIN_ROWS`] rows run a 4×4 register-tiled kernel; smaller
-    /// ones (per-state forwards are 2–13 rows) use the plain dot-product
-    /// loops of [`matmul_t_naive`](Self::matmul_t_naive). Both paths
-    /// accumulate each output element over `k` in ascending order starting
-    /// from zero, so they produce bit-identical results.
+    /// [`BLOCKED_MIN_ROWS`] rows and 16 output columns pack `rhsᵀ` once and
+    /// run the row-broadcast kernel; the rest (narrow heads, small states)
+    /// use the plain dot-product loops of
+    /// [`matmul_t_naive`](Self::matmul_t_naive). Both paths accumulate each
+    /// output element over `k` in ascending order from `-0.0` (the identity
+    /// `f32::sum` folds from), so they produce bit-identical results.
     ///
     /// # Panics
     ///
     /// Panics on column-count mismatch.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_t col mismatch");
-        if self.rows < BLOCKED_MIN_ROWS {
+        if self.rows < BLOCKED_MIN_ROWS || rhs.rows < TILE_COLS {
             return self.matmul_t_naive(rhs);
         }
-        self.matmul_t_blocked(rhs, -0.0)
+        // Pack rhsᵀ (k × n, row-major) so each k step of the kernel reads
+        // one contiguous run of output columns.
+        let (n, k) = (rhs.rows, rhs.cols);
+        let mut packed = vec![0.0; k * n];
+        for j in 0..n {
+            for p in 0..k {
+                packed[p * n + j] = rhs.data[j * k + p];
+            }
+        }
+        self.matmul_row_broadcast(&packed, n, -0.0)
     }
 
     /// Reference `self · rhsᵀ`: one dot product per output element, kept as
@@ -275,52 +282,48 @@ impl Matrix {
         out
     }
 
-    /// 4×4 register-tiled `self · rhsᵀ`.
+    /// Row-broadcast `self · B` for `B` given as `k × n` row-major `b`
+    /// (`n ≥ TILE_COLS`).
     ///
-    /// Each tile keeps 16 independent accumulators live across the whole
-    /// `k` sweep, turning the latency-bound single-accumulator dot product
-    /// of the naive loop into 16 parallel dependency chains while both
-    /// operand rows stream contiguously. Per output element the additions
-    /// still happen in ascending `k` order, so the result is bit-identical
-    /// to the matching naive kernel — provided `init` matches the naive
-    /// accumulator identity: `f32`'s `sum()` folds from `-0.0` (preserving
+    /// Each tile keeps two output rows × 16 columns of accumulators live
+    /// across the whole `k` sweep: every step broadcasts one element of
+    /// each input row over one contiguous 16-wide run of `B`, which the
+    /// compiler turns into plain SIMD multiplies and adds. Per output
+    /// element the additions still happen one at a time in ascending `k`
+    /// order, starting from `init`, so the result is bit-identical to the
+    /// matching naive kernel — provided `init` matches its accumulator
+    /// identity: `f32`'s `sum()` folds from `-0.0` (preserving
     /// all-negative-zero sums), while `matmul_naive`'s `+=`-into-zeros
-    /// starts at `+0.0`. Edge tiles replicate their last row; the duplicate
-    /// accumulators are simply not written back.
-    fn matmul_t_blocked(&self, rhs: &Matrix, init: f32) -> Matrix {
-        const MR: usize = 4;
-        const NR: usize = 4;
-        let (m, n, k) = (self.rows, rhs.rows, self.cols);
+    /// starts at `+0.0`. Products are never fused into an FMA, which would
+    /// round differently. An odd last row pairs with itself and the last
+    /// tile of a row is shifted left to end at column `n`; the duplicated
+    /// accumulators recompute identical values.
+    fn matmul_row_broadcast(&self, b: &[f32], n: usize, init: f32) -> Matrix {
+        let (m, k) = (self.rows, self.cols);
+        debug_assert!(n >= TILE_COLS && b.len() == k * n);
         let mut out = Matrix::zeros(m, n);
-        fn row(d: &[f32], r: usize, k: usize) -> &[f32] {
-            &d[r * k..(r + 1) * k]
-        }
-        let mut i = 0;
-        while i < m {
-            let mh = MR.min(m - i);
-            let ar: [&[f32]; MR] = std::array::from_fn(|ii| row(&self.data, i + ii.min(mh - 1), k));
+        for i0 in (0..m).step_by(2) {
+            let i1 = (i0 + 1).min(m - 1);
+            let a0 = &self.data[i0 * k..(i0 + 1) * k];
+            let a1 = &self.data[i1 * k..(i1 + 1) * k];
             let mut j = 0;
             while j < n {
-                let nh = NR.min(n - j);
-                let br: [&[f32]; NR] =
-                    std::array::from_fn(|jj| row(&rhs.data, j + jj.min(nh - 1), k));
-                let mut acc = [[init; NR]; MR];
-                for p in 0..k {
-                    let b = [br[0][p], br[1][p], br[2][p], br[3][p]];
-                    for (ii, arow) in ar.iter().enumerate() {
-                        let a = arow[p];
-                        for (jj, &bv) in b.iter().enumerate() {
-                            acc[ii][jj] += a * bv;
-                        }
+                let j0 = j.min(n - TILE_COLS);
+                let mut acc0 = [init; TILE_COLS];
+                let mut acc1 = [init; TILE_COLS];
+                for ((&x0, &x1), brow) in a0.iter().zip(a1).zip(b.chunks_exact(n)) {
+                    let bt: &[f32; TILE_COLS] = brow[j0..j0 + TILE_COLS]
+                        .try_into()
+                        .expect("tile is TILE_COLS wide");
+                    for c in 0..TILE_COLS {
+                        acc0[c] += x0 * bt[c];
+                        acc1[c] += x1 * bt[c];
                     }
                 }
-                for (ii, acc_row) in acc.iter().enumerate().take(mh) {
-                    let orow = &mut out.data[(i + ii) * n + j..(i + ii) * n + j + nh];
-                    orow.copy_from_slice(&acc_row[..nh]);
-                }
-                j += nh;
+                out.data[i0 * n + j0..i0 * n + j0 + TILE_COLS].copy_from_slice(&acc0);
+                out.data[i1 * n + j0..i1 * n + j0 + TILE_COLS].copy_from_slice(&acc1);
+                j = j0 + TILE_COLS;
             }
-            i += mh;
         }
         out
     }
@@ -431,39 +434,61 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_t_bit_identical_to_naive_with_edge_tiles() {
-        // 17 and 6 force partial tiles in both dimensions; 17 ≥
-        // BLOCKED_MIN_ROWS so matmul_t takes the tiled kernel.
+    fn row_broadcast_matmul_t_bit_identical_to_naive_with_edge_tiles() {
+        // 17 rows leave an unpaired last row; 37 output columns are two
+        // full tiles plus a shifted tail tile.
         let a = ramp(17, 5, 3);
-        let b = ramp(6, 5, 11);
-        assert!(a.rows() >= BLOCKED_MIN_ROWS);
+        let b = ramp(37, 5, 11);
+        assert!(a.rows() >= BLOCKED_MIN_ROWS && b.rows() >= TILE_COLS);
         assert_bit_identical(&a.matmul_t(&b), &a.matmul_t_naive(&b));
     }
 
     #[test]
-    fn blocked_matmul_bit_identical_to_naive() {
+    fn row_broadcast_matmul_bit_identical_to_naive() {
         let a = ramp(21, 7, 5);
-        let b = ramp(7, 9, 13);
-        assert!(a.rows() >= BLOCKED_MIN_ROWS);
+        let b = ramp(7, 20, 13);
+        assert!(a.rows() >= BLOCKED_MIN_ROWS && b.cols() >= TILE_COLS);
         assert_bit_identical(&a.matmul(&b), &a.matmul_naive(&b));
     }
 
     #[test]
-    fn small_products_stay_on_the_naive_path_and_agree() {
+    fn small_and_narrow_products_stay_on_the_naive_path_and_agree() {
         let a = ramp(3, 8, 17);
         let bt = ramp(5, 8, 19);
         assert_bit_identical(&a.matmul_t(&bt), &a.matmul_t_naive(&bt));
         let b = ramp(8, 4, 23);
         assert_bit_identical(&a.matmul(&b), &a.matmul_naive(&b));
+        let tall = ramp(40, 8, 29);
+        assert_bit_identical(&tall.matmul_t(&bt), &tall.matmul_t_naive(&bt));
+        assert_bit_identical(&tall.matmul(&b), &tall.matmul_naive(&b));
+    }
+
+    #[test]
+    fn negative_zero_sums_keep_each_kernels_identity() {
+        // Every product is -0.0: `self · rhsᵀ` folds from -0.0 and stays
+        // there, `self · rhs` starts at +0.0 and stays there.
+        let a = Matrix::from_vec(18, 3, vec![-0.0; 54]);
+        let bt = Matrix::from_vec(20, 3, vec![1.0; 60]);
+        let t = a.matmul_t(&bt);
+        assert_bit_identical(&t, &a.matmul_t_naive(&bt));
+        assert_bit_identical(&t, &Matrix::from_vec(18, 20, vec![-0.0; 360]));
+        let b = Matrix::from_vec(3, 20, vec![1.0; 60]);
+        let p = a.matmul(&b);
+        assert_bit_identical(&p, &a.matmul_naive(&b));
+        assert_bit_identical(&p, &Matrix::zeros(18, 20));
     }
 
     #[test]
     fn zero_inner_dimension() {
         let a = Matrix::zeros(20, 0);
-        let b = Matrix::zeros(6, 0);
-        let c = a.matmul_t(&b);
-        assert_eq!((c.rows(), c.cols()), (20, 6));
-        assert!(c.as_slice().iter().all(|&v| v == 0.0));
+        for n in [6, 20] {
+            let b = Matrix::zeros(n, 0);
+            let c = a.matmul_t(&b);
+            assert_eq!((c.rows(), c.cols()), (20, n));
+            assert_bit_identical(&c, &a.matmul_t_naive(&b));
+            let d = a.matmul(&Matrix::zeros(0, n));
+            assert_bit_identical(&d, &a.matmul_naive(&Matrix::zeros(0, n)));
+        }
     }
 
     #[test]

@@ -93,19 +93,14 @@ proptest! {
 
     #[test]
     fn matmul_t_bit_identical_across_kernel_paths(
-        m in 1usize..48,
-        n in 1usize..20,
+        m in 1usize..=48,
+        n in 1usize..=48,
         k in 0usize..24,
         seed in 0u64..500,
     ) {
-        use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut gen = |r: usize, c: usize| {
-            let data: Vec<f32> = (0..r * c).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
-            Matrix::from_vec(r, c, data)
-        };
-        let a = gen(m, k);
-        let b = gen(n, k);
+        let a = signed_zero_matrix(&mut rng, m, k);
+        let b = signed_zero_matrix(&mut rng, n, k);
         let fast = a.matmul_t(&b);
         let oracle = a.matmul_t_naive(&b);
         for (x, y) in fast.as_slice().iter().zip(oracle.as_slice()) {
@@ -115,23 +110,14 @@ proptest! {
 
     #[test]
     fn matmul_bit_identical_across_kernel_paths(
-        m in 1usize..48,
-        n in 1usize..20,
-        k in 1usize..24,
+        m in 1usize..=48,
+        n in 1usize..=48,
+        k in 0usize..24,
         seed in 0u64..500,
     ) {
-        use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut gen = |r: usize, c: usize| {
-            // Exact zeros mixed in: the old kernel skipped them, the tiled
-            // one must not change results because of that.
-            let data: Vec<f32> = (0..r * c)
-                .map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-4.0f32..4.0) })
-                .collect();
-            Matrix::from_vec(r, c, data)
-        };
-        let a = gen(m, k);
-        let b = gen(k, n);
+        let a = signed_zero_matrix(&mut rng, m, k);
+        let b = signed_zero_matrix(&mut rng, k, n);
         let fast = a.matmul(&b);
         let oracle = a.matmul_naive(&b);
         for (x, y) in fast.as_slice().iter().zip(oracle.as_slice()) {
@@ -158,4 +144,21 @@ proptest! {
             }
         }
     }
+}
+
+/// A random `r × c` matrix with exact `+0.0` and `-0.0` mixed in: sums of
+/// signed zeros are where the kernels' accumulator identities (`-0.0` for
+/// `matmul_t`, `+0.0` for `matmul`) decide the result bits. Widths up to
+/// 48 in the tests above cross several 16-column tiles and a shifted tail
+/// tile.
+fn signed_zero_matrix(rng: &mut ChaCha8Rng, r: usize, c: usize) -> Matrix {
+    use rand::Rng;
+    let data: Vec<f32> = (0..r * c)
+        .map(|_| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-4.0f32..4.0),
+        })
+        .collect();
+    Matrix::from_vec(r, c, data)
 }

@@ -8,9 +8,10 @@
 //! All sockets are non-blocking; the connection owns an input buffer fed
 //! by readable events and an output buffer drained by writable events.
 //! `last_progress` timestamps the last *byte-level* progress in either
-//! direction — the slow-loris sweep uses it to reap clients that neither
-//! finish a request nor read their responses, while clients legitimately
-//! waiting on a subscribed job stay untouched.
+//! direction, or the last time output was queued — the slow-loris sweep
+//! uses it to reap clients that neither finish a request nor read their
+//! responses, while clients legitimately waiting on a subscribed job stay
+//! untouched.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -40,7 +41,8 @@ pub struct Conn {
     pub outbuf: Vec<u8>,
     /// Sniffed dialect.
     pub mode: Mode,
-    /// Last moment any byte moved on this connection.
+    /// Last moment any byte moved on this connection or was queued for
+    /// the peer.
     pub last_progress: Instant,
     /// Jobs this connection submitted (binary mode): progress cursor into
     /// `JobEntry::progress` per job; results stream back automatically.
@@ -128,9 +130,13 @@ impl Conn {
         true
     }
 
-    /// Queues bytes for the peer.
+    /// Queues bytes for the peer and restarts the idle clock: the peer
+    /// gets a full `idle_timeout` to read them, however long it waited
+    /// for them (a job result is queued as its subscription ends, right
+    /// before the idle sweep).
     pub fn send(&mut self, bytes: &[u8]) {
         self.outbuf.extend_from_slice(bytes);
+        self.last_progress = Instant::now();
     }
 
     /// `true` once this connection is finished and can be dropped. A peer
@@ -230,6 +236,23 @@ mod tests {
         // Same, but waiting on a job it submitted: spared.
         c.subscriptions.insert(1, 0);
         assert!(!c.is_stalled(Instant::now(), Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn queued_output_gets_a_fresh_idle_timeout() {
+        let (mut c, _k) = pair();
+        c.mode = Mode::Binary;
+        let idle = Duration::from_secs(5);
+        // A client that waited two timeouts on its job; the result is
+        // queued as the subscription ends.
+        c.last_progress = Instant::now() - 2 * idle;
+        c.send(b"RESULT");
+        assert!(
+            !c.is_stalled(Instant::now(), idle),
+            "a just-queued result must not be reaped"
+        );
+        // Still unread one timeout later: now the peer is stalled.
+        assert!(c.is_stalled(Instant::now() + idle, idle));
     }
 
     #[test]
