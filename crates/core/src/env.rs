@@ -52,17 +52,17 @@ impl StepOutcome {
 /// [`Backend`].
 #[derive(Debug)]
 enum BackendImpl {
-    // Boxed: the diamond legalizer carries the SoA hot-cell snapshot and
-    // dwarfs the Tetris variant.
+    // Boxed: each legalizer carries a whole pixel grid (the diamond one
+    // the SoA hot-cell snapshot too), so the enum stays pointer-sized.
     Diamond(Box<Legalizer>),
-    Tetris(TetrisLegalizer),
+    Tetris(Box<TetrisLegalizer>),
 }
 
 impl BackendImpl {
     fn new(kind: Backend, design: &Design) -> Self {
         match kind {
             Backend::Diamond => BackendImpl::Diamond(Box::new(Legalizer::new(design))),
-            Backend::Tetris => BackendImpl::Tetris(TetrisLegalizer::new(design)),
+            Backend::Tetris => BackendImpl::Tetris(Box::new(TetrisLegalizer::new(design))),
         }
     }
 

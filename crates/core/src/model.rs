@@ -176,7 +176,7 @@ impl CellWiseNet {
         for (a, b) in d_emb.as_mut_slice().iter_mut().zip(d_emb_v.as_slice()) {
             *a += b;
         }
-        let _ = self.trunk.backward(&d_emb);
+        self.trunk.backward_params(&d_emb);
     }
 
     /// Clears accumulated gradients.

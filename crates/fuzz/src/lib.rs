@@ -19,7 +19,7 @@
 //!    detection);
 //! 3. [`oracle_grid`] — randomized place/remove/search/window op sequences
 //!    on [`rlleg_legalize::PixelGrid`] cross-checked against the kept
-//!    `*_reference` oracles and the [`rlleg_legalize::SubGrid`] snapshot;
+//!    `*_reference` oracles and against loaded Gcell windows;
 //! 4. [`oracle_nn`] — trainer/inference invariants: priorities form a
 //!    probability simplex, `values_batch` equals the per-state forward
 //!    pass bit-for-bit, and short training runs produce finite losses and

@@ -1,14 +1,14 @@
-//! Oracle 3: randomized op sequences on [`PixelGrid`] / [`SubGrid`]
-//! cross-checked against the kept `*_reference` implementations.
+//! Oracle 3: randomized op sequences on [`PixelGrid`] cross-checked
+//! against the kept `*_reference` implementations.
 //!
 //! Ops: differential `check_place` (fast bitmap path vs per-pixel
 //! reference, error-for-error), `place`/`remove` with occupancy
 //! spot-checks, differential `find_position` (span-walk vs ring
 //! enumeration), `extract_window` parity (the same window-restricted
-//! search on a [`SubGrid`] snapshot and on the full grid must return the
-//! identical position), and differential `for_each_free_span` (the u64×4
-//! block scan vs a per-pixel scalar sweep, with window edges biased onto
-//! 64-bit word boundaries).
+//! search on a grid loaded with just that window and on the full grid
+//! must return the identical position), and differential
+//! `for_each_free_span` (the u64×4 block scan vs a per-pixel scalar sweep,
+//! with window edges biased onto 64-bit word boundaries).
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -185,8 +185,8 @@ pub fn check(sc: &Scenario, op_seed: u64) -> Vec<Failure> {
                     );
                 }
             }
-            // SubGrid window snapshot parity: the same window-restricted
-            // search must land on the identical pixel.
+            // Loaded-window parity: the same window-restricted search
+            // must land on the identical pixel.
             _ => {
                 let Some(&cell) = unplaced.choose(&mut rng) else {
                     continue;
@@ -213,7 +213,7 @@ pub fn check(sc: &Scenario, op_seed: u64) -> Vec<Failure> {
                 if a != b {
                     fail(
                         format!(
-                            "op {op}: windowed search ({win:?}) on SubGrid={a:?} \
+                            "op {op}: windowed search ({win:?}) on window grid={a:?} \
                              vs full grid={b:?}"
                         ),
                         &mut failures,

@@ -121,6 +121,9 @@ mod tests {
 
     #[test]
     fn disarmed_probes_are_inert() {
+        // Hold the armers' exclusion, or a fault test on another thread
+        // may arm a plan mid-check.
+        let _excl = lock_ignore_poison(arm_lock());
         assert!(!armed());
         panic_if_planned(0);
         assert_eq!(infer_stall(0), None);

@@ -12,15 +12,16 @@ use rlleg_geom::Dbu;
 
 use crate::gcell::GcellGrid;
 use crate::order::Ordering;
-use crate::pixel::{GridPos, PixelGrid, SubGrid};
+use crate::pixel::{GridPos, PixelGrid};
 use crate::sched::{StealQueues, TileSchedule};
 use crate::search::{find_position_hot, SearchConfig};
 
 std::thread_local! {
-    /// Per-thread [`SubGrid`] scratch for Gcell solves: each pool worker
-    /// (and the calling thread) reuses one snapshot buffer across Gcells
-    /// and across `run_gcells_parallel` calls instead of reallocating.
-    static GCELL_SCRATCH: std::cell::RefCell<SubGrid> = std::cell::RefCell::new(SubGrid::new());
+    /// Per-thread window grid for Gcell solves: each pool worker (and the
+    /// calling thread) reuses one grid's buffers across Gcells and across
+    /// `run_gcells_parallel` calls instead of reallocating.
+    static GCELL_SCRATCH: std::cell::RefCell<PixelGrid> =
+        std::cell::RefCell::new(PixelGrid::default());
 }
 
 /// Outcome of one Gcell-local solve: committed `(cell, pos)` pairs in
@@ -223,8 +224,8 @@ impl Legalizer {
     /// Phase 1 solves every Gcell independently and **clone-free**: the
     /// design is never mutated during the solve (cell order and search
     /// starts read only immutable fields), and instead of cloning the
-    /// whole grid each worker [`load`](SubGrid::load)s its thread-local
-    /// [`SubGrid`] scratch with just the Gcell's disjoint site/row window
+    /// whole grid each worker [`load`](PixelGrid::load)s its thread-local
+    /// window grid with just the Gcell's disjoint site/row window
     /// ([`GcellGrid::window_of`]) — occupancy words, occupant block, and
     /// the edge-spacing halo of the row index. Searches are restricted to
     /// the window, and the scratch answers them exactly as the full grid
@@ -278,7 +279,7 @@ impl Legalizer {
         let search = self.search;
         let design_ro: &Design = design;
         let hot = &self.hot;
-        let solve = |scratch: &mut SubGrid, g: usize| -> GcellSolve {
+        let solve = |scratch: &mut PixelGrid, g: usize| -> GcellSolve {
             crate::fault::panic_if_planned(g);
             let order = ordering.order_hot(design_ro, hot, Some(gcells.cells_of(g)));
             if order.is_empty() {
@@ -315,7 +316,7 @@ impl Legalizer {
         };
 
         // `Err(())` marks a quarantined Gcell: its solve panicked. The
-        // panic is contained here — [`SubGrid::load`] fully reinitializes
+        // panic is contained here — [`PixelGrid::load`] fully reinitializes
         // the scratch, so the next Gcell on the same worker is unaffected,
         // and the merge phase retries the Gcell's cells on the sequential
         // size-ordered fallback path instead of aborting the run.

@@ -7,7 +7,8 @@
 //! Main pieces:
 //!
 //! - [`PixelGrid`] — site × row occupancy with fences, rail parity, and
-//!   edge-spacing checks,
+//!   edge-spacing checks, over the whole die or one loaded Gcell window
+//!   (the clone-free substrate of parallel per-Gcell solves),
 //! - [`search::find_position`] — the diamond pixel search (Sec. II-B),
 //! - [`Ordering`] — size-sorted / x-sorted / random / explicit cell orders,
 //! - [`Legalizer`] — the sequential legalization driver, with the baseline's
@@ -15,8 +16,6 @@
 //! - [`TetrisLegalizer`] — a greedy row-packing alternative backend (the
 //!   paper: "our framework can be applied to any sequential legalization
 //!   algorithms"),
-//! - [`SubGrid`] — window-scoped scratch snapshots for clone-free parallel
-//!   per-Gcell solves, behind the [`GridRead`] search abstraction,
 //! - [`pool::WorkerPool`] — the persistent worker pool amortizing thread
 //!   startup across `run_gcells_parallel` calls,
 //! - [`sched::TileSchedule`] / [`sched::StealQueues`] — the two-level
@@ -61,7 +60,7 @@ pub use features::{FeatureSpace, NUM_FEATURES};
 pub use gcell::{BinGrid, GcellGrid};
 pub use legalizer::{Legalizer, PlaceCellError, RunStats};
 pub use order::Ordering;
-pub use pixel::{GridPos, GridRead, GridWindow, PixelGrid, PlaceRejection, SubGrid};
+pub use pixel::{GridPos, GridWindow, PixelGrid, PlaceRejection};
 pub use pool::WorkerPool;
 pub use sched::{StealQueues, TileSchedule};
 pub use search::{find_position, find_position_hot, find_position_reference, SearchConfig};

@@ -13,10 +13,14 @@
 //! (PixelGrid::for_each_free_span) enumerates maximal free runs with
 //! `trailing_zeros`, so searches skip whole blocked stretches instead of
 //! probing pixel-by-pixel (see DESIGN.md §9).
+//!
+//! A grid stores either the whole die or one Gcell window of it
+//! ([`PixelGrid::load`]); both answer in full-die coordinates, so the
+//! parallel per-Gcell solve runs the very same code as the full grid.
 
 use std::collections::BTreeMap;
 
-use rlleg_design::{CellId, Design};
+use rlleg_design::{CellId, Design, RegionId};
 use rlleg_geom::{Dbu, Point, Rect};
 
 /// Sentinel for an unoccupied pixel.
@@ -38,7 +42,7 @@ pub struct GridPos {
 /// A half-open rectangular region of the grid, `[lo_site, hi_site) ×
 /// [lo_row, hi_row)`, used to restrict searches to a Gcell-local window
 /// during parallel legalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct GridWindow {
     /// First site (inclusive).
     pub lo_site: i64,
@@ -51,7 +55,7 @@ pub struct GridWindow {
 }
 
 impl GridWindow {
-    /// The window covering a whole grid.
+    /// The window covering the whole die of `grid`.
     pub fn full(grid: &PixelGrid) -> Self {
         Self {
             lo_site: 0,
@@ -76,42 +80,9 @@ impl GridWindow {
     }
 }
 
-/// Read-only occupancy view the diamond search runs against: either the
-/// full [`PixelGrid`] or a window-scoped [`SubGrid`] scratch snapshot.
-///
-/// All coordinates are **full-grid** site/row indices in both cases; a
-/// `SubGrid` reports the full grid's dimensions and answers queries inside
-/// its window, so search code (bounds, clamping, span walks) is byte-for-byte
-/// the same against either view — the foundation of the parallel
-/// legalizer's bit-identical-to-sequential contract.
-pub trait GridRead {
-    /// Number of sites across the full grid.
-    fn sites_x(&self) -> i64;
-    /// Number of rows in the full grid.
-    fn rows(&self) -> i64;
-    /// Enumerates maximal free spans `[s_lo, s_hi)` of sites within
-    /// `[lo, hi)` where all rows `row..row + h_rows` are simultaneously
-    /// unoccupied, in ascending site order (see
-    /// [`PixelGrid::for_each_free_span`]).
-    fn for_each_free_span(&self, row: i64, h_rows: i64, lo: i64, hi: i64, f: impl FnMut(i64, i64));
-    /// Full legality check of placing `cell` at `pos` (see
-    /// [`PixelGrid::check_place`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlaceRejection`] encountered.
-    fn check_place(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-    ) -> Result<(), PlaceRejection>;
-}
-
-/// Shared span-walk core: enumerates maximal zero runs within `[lo, hi)`
-/// over the per-word row-band OR supplied by `band_word` (indexed by the
-/// *global* word column). Both the full grid and window snapshots feed
-/// this, so their span enumeration is identical by construction.
+/// Span-walk core: enumerates maximal zero runs within `[lo, hi)` over the
+/// per-word row-band OR supplied by `band_word` (indexed by the absolute
+/// word column).
 fn walk_free_spans(
     lo: i64,
     hi: i64,
@@ -161,114 +132,6 @@ fn walk_free_spans(
     }
 }
 
-/// Word-level block test shared by the full grid and window snapshots:
-/// `true` when `bits` is all-zero over the masked word window covering
-/// sites `[site, site + w)` across `h` consecutive rows. `row0` indexes the
-/// first row into `bits` (in units of `stride` words) and `col0` shifts
-/// absolute word columns into the slice (0 for the full grid, `w_lo` for a
-/// snapshot). The hot loop ORs u64×4 blocks across rows — plain indexed
-/// array ops the autovectorizer lowers to 256-bit loads on AVX2 (128-bit
-/// pairs on NEON) — with a scalar tail for the remaining columns.
-#[inline]
-fn window_zero_words(
-    bits: &[u64],
-    stride: usize,
-    row0: usize,
-    h: usize,
-    col0: usize,
-    site: i64,
-    w: i64,
-) -> bool {
-    let lo_w = site as usize / 64;
-    let hi_w = ((site + w - 1) as usize / 64) + 1;
-    let mask_of = |wi: usize| {
-        let base = wi as i64 * 64;
-        let mut mask = !0u64;
-        if base < site {
-            mask &= !0u64 << (site - base);
-        }
-        let k = site + w - base;
-        if k < 64 {
-            mask &= (1u64 << k) - 1;
-        }
-        mask
-    };
-    let mut wi = lo_w;
-    while wi + 4 <= hi_w {
-        let mut acc = [0u64; 4];
-        for r in 0..h {
-            let rb = (row0 + r) * stride + (wi - col0);
-            let w4: &[u64; 4] = bits[rb..rb + 4].try_into().unwrap();
-            acc[0] |= w4[0];
-            acc[1] |= w4[1];
-            acc[2] |= w4[2];
-            acc[3] |= w4[3];
-        }
-        for (j, a) in acc.iter().enumerate() {
-            if a & mask_of(wi + j) != 0 {
-                return false;
-            }
-        }
-        wi += 4;
-    }
-    while wi < hi_w {
-        let mask = mask_of(wi);
-        for r in 0..h {
-            if bits[(row0 + r) * stride + (wi - col0)] & mask != 0 {
-                return false;
-            }
-        }
-        wi += 1;
-    }
-    true
-}
-
-/// Builds the row-band word supplier [`walk_free_spans`] consumes: the OR
-/// of `h` rows per word column, computed u64×4 columns at a time and cached
-/// so the strictly ascending span walk folds each block across the rows
-/// once instead of per column. `lo_w` anchors block alignment at the first
-/// queried column; `limit` is the exclusive upper bound of valid absolute
-/// word columns (`stride` for the full grid, `w_hi` for a snapshot).
-#[inline]
-fn band_words(
-    bits: &[u64],
-    stride: usize,
-    row0: usize,
-    h: usize,
-    col0: usize,
-    lo_w: usize,
-    limit: usize,
-) -> impl FnMut(usize) -> u64 + '_ {
-    let mut blk = usize::MAX;
-    let mut cache = [0u64; 4];
-    move |wi| {
-        let b = lo_w + ((wi - lo_w) & !3);
-        if b != blk {
-            blk = b;
-            cache = [0u64; 4];
-            let n = 4.min(limit - b);
-            if n == 4 {
-                for r in 0..h {
-                    let rb = (row0 + r) * stride + (b - col0);
-                    let w4: &[u64; 4] = bits[rb..rb + 4].try_into().unwrap();
-                    cache[0] |= w4[0];
-                    cache[1] |= w4[1];
-                    cache[2] |= w4[2];
-                    cache[3] |= w4[3];
-                }
-            } else {
-                for r in 0..h {
-                    let rb = (row0 + r) * stride + (b - col0);
-                    for (j, c) in cache.iter_mut().take(n).enumerate() {
-                        *c |= bits[rb + j];
-                    }
-                }
-            }
-        }
-        cache[wi - b]
-    }
-}
-
 /// Why a candidate position is not legal. Returned by
 /// [`PixelGrid::check_place`] so search heuristics can distinguish hard
 /// failures from merely occupied pixels.
@@ -292,24 +155,39 @@ pub enum PlaceRejection {
 /// occupy pixels only once [`place`](PixelGrid::place)d. A per-row interval
 /// index tracks placed cells for the edge-spacing rule, and per-row `u64`
 /// bitmaps mirror the occupant array for word-level free-space queries.
-#[derive(Debug, Clone)]
+///
+/// A grid stores the pixels of its [`window`](Self::window): the whole die
+/// for a grid built by [`new`](Self::new), one Gcell for a grid
+/// [`load`](Self::load)ed from another. Positions are always full-die
+/// site/row indices and [`sites_x`](Self::sites_x)/[`rows`](Self::rows)
+/// report the die, so search bounds come out the same on either. Probing a
+/// footprint that leaves the window is a contract violation (debug
+/// assertion).
+#[derive(Debug, Clone, Default)]
 pub struct PixelGrid {
+    /// Die dimensions.
     sites_x: i64,
     rows: i64,
+    /// The stored pixels: the whole die, or one loaded window.
+    win: GridWindow,
+    /// Stored word columns `[w_lo, w_hi)` of every bitmap row.
+    w_lo: usize,
+    w_hi: usize,
+    /// Occupant per stored pixel, row-major over the window.
     occ: Vec<u32>,
-    /// Fence id when a pixel is fully inside that region.
+    /// Fence id when a pixel is fully inside that region. Like
+    /// `fence_touched`, empty when the design has no fence regions.
     fence_inside: Vec<u16>,
     /// `true` when a pixel overlaps any fence region at all.
     fence_touched: Vec<bool>,
-    /// Per row: `lo.x → (hi.x, cell)` of placed cells, for edge spacing.
+    /// Per stored row: `lo.x → (hi.x, cell)` of placed cells, for edge
+    /// spacing.
     row_cells: Vec<BTreeMap<Dbu, (Dbu, u32)>>,
-    /// `u64` words per row in the bitmaps below.
-    words_per_row: usize,
     /// Occupancy bitmap (placed cells and blocked pixels); bit = 1 means
     /// occupied. Padding bits beyond `sites_x` are set.
     occ_bits: Vec<u64>,
     /// Blocked-only bitmap (fixed cells / padding); never changes after
-    /// construction.
+    /// construction. Empty on a loaded window.
     fixed_bits: Vec<u64>,
     /// Whether the design has fence regions; when `false`, a clean word
     /// test alone proves a window passes occupancy *and* fence rules.
@@ -322,18 +200,26 @@ impl PixelGrid {
         let sites_x = design.num_sites_x();
         let rows = design.num_rows();
         let n = (sites_x * rows) as usize;
-        let words_per_row = (sites_x.max(0) as usize).div_ceil(64);
+        let has_fences = !design.regions.is_empty();
+        let fence_n = if has_fences { n } else { 0 };
         let mut grid = Self {
             sites_x,
             rows,
+            win: GridWindow {
+                lo_site: 0,
+                lo_row: 0,
+                hi_site: sites_x,
+                hi_row: rows,
+            },
+            w_lo: 0,
+            w_hi: (sites_x.max(0) as usize).div_ceil(64),
             occ: vec![FREE; n],
-            fence_inside: vec![NO_FENCE; n],
-            fence_touched: vec![false; n],
+            fence_inside: vec![NO_FENCE; fence_n],
+            fence_touched: vec![false; fence_n],
             row_cells: vec![BTreeMap::new(); rows as usize],
-            words_per_row,
             occ_bits: Vec::new(),
             fixed_bits: Vec::new(),
-            has_fences: !design.regions.is_empty(),
+            has_fences,
         };
         let rh = design.tech.row_height;
         let sw = design.tech.site_width;
@@ -354,7 +240,7 @@ impl PixelGrid {
                 let hi_r = (rect.hi.y - design.core.lo.y).div_euclid(rh);
                 for row in lo_r.max(0)..hi_r.min(grid.rows) {
                     for site in lo_s.max(0)..hi_s.min(grid.sites_x) {
-                        let idx = (row * grid.sites_x + site) as usize;
+                        let idx = grid.pix(site, row);
                         grid.fence_inside[idx] = ri as u16;
                     }
                 }
@@ -387,10 +273,108 @@ impl PixelGrid {
         grid
     }
 
+    /// Loads window `win` of `base` into this grid, reusing its buffers
+    /// (reset, not reallocated, when capacities suffice). Afterwards the
+    /// grid answers every query exactly as `base` does for any footprint
+    /// inside `win`, having copied `O(window)` bytes instead of the die:
+    ///
+    /// - the occupancy words of the window's whole word columns, verbatim
+    ///   (boundary words keep out-of-window neighbour bits, which every
+    ///   query masks off), and the window's occupant block;
+    /// - the fence blocks, when the design has fences;
+    /// - the row-index entries whose occupied interval ends within
+    ///   [`Technology::max_edge_spacing`](rlleg_design::Technology::max_edge_spacing)
+    ///   of the window. Placed intervals are disjoint, so any dropped
+    ///   entry is provably too far away to decide an edge-spacing check
+    ///   for an in-window footprint.
+    ///
+    /// The fixed-cell bitmap is not copied:
+    /// [`window_has_fixed`](Self::window_has_fixed) needs the full grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `win` is degenerate or leaves `base`'s window.
+    pub fn load(&mut self, base: &PixelGrid, design: &Design, win: GridWindow) {
+        assert!(!win.is_degenerate(), "cannot load a degenerate window");
+        let (w_sites, h_rows) = (win.hi_site - win.lo_site, win.hi_row - win.lo_row);
+        let corner = GridPos {
+            site: win.lo_site,
+            row: win.lo_row,
+        };
+        assert!(
+            base.win.contains_footprint(corner, w_sites, h_rows),
+            "window {win:?} leaves the grid's {:?}",
+            base.win
+        );
+        self.sites_x = base.sites_x;
+        self.rows = base.rows;
+        self.win = win;
+        self.w_lo = (win.lo_site / 64) as usize;
+        self.w_hi = ((win.hi_site - 1) / 64) as usize + 1;
+        let (ww, nw) = (w_sites as usize, self.w_hi - self.w_lo);
+        self.occ_bits.clear();
+        self.occ.clear();
+        for row in win.lo_row..win.hi_row {
+            let wb = base.word(win.lo_site, row);
+            self.occ_bits.extend_from_slice(&base.occ_bits[wb..wb + nw]);
+            let pb = base.pix(win.lo_site, row);
+            self.occ.extend_from_slice(&base.occ[pb..pb + ww]);
+        }
+        self.fixed_bits.clear();
+        self.has_fences = base.has_fences;
+        self.fence_inside.clear();
+        self.fence_touched.clear();
+        if base.has_fences {
+            for row in win.lo_row..win.hi_row {
+                let pb = base.pix(win.lo_site, row);
+                self.fence_inside
+                    .extend_from_slice(&base.fence_inside[pb..pb + ww]);
+                self.fence_touched
+                    .extend_from_slice(&base.fence_touched[pb..pb + ww]);
+            }
+        }
+        // Row index: an entry can decide an edge-spacing check for an
+        // in-window footprint only if its interval ends after
+        // `x_lo - halo`; row intervals are disjoint, so everything to the
+        // left of the last such entry is farther still and can be dropped.
+        let halo = design.tech.max_edge_spacing();
+        let sw = design.tech.site_width;
+        let x_lo = design.core.lo.x + win.lo_site * sw;
+        let x_hi = design.core.lo.x + win.hi_site * sw;
+        for m in &mut self.row_cells {
+            m.clear();
+        }
+        self.row_cells.resize_with(h_rows as usize, BTreeMap::new);
+        for (map, row) in self.row_cells.iter_mut().zip(win.lo_row..win.hi_row) {
+            let src = &base.row_cells[(row - base.win.lo_row) as usize];
+            if let Some((&k, &v)) = src.range(..x_lo - halo).next_back() {
+                if v.0 > x_lo - halo {
+                    map.insert(k, v);
+                }
+            }
+            for (&k, &v) in src.range(x_lo - halo..x_hi + halo) {
+                map.insert(k, v);
+            }
+        }
+    }
+
+    /// A fresh grid [`load`](Self::load)ed with window `win` of this one.
+    /// Workers that solve many windows keep one grid each and `load` it
+    /// instead, reusing its buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `win` is degenerate or leaves this grid's window.
+    pub fn extract_window(&self, design: &Design, win: GridWindow) -> PixelGrid {
+        let mut sub = Self::default();
+        sub.load(self, design, win);
+        sub
+    }
+
     /// Rebuilds both bitmaps from the occupant array (construction only;
     /// `place`/`remove` maintain them incrementally afterwards).
     fn rebuild_bits(&mut self) {
-        let wpr = self.words_per_row;
+        let wpr = self.w_hi;
         self.occ_bits = vec![0u64; wpr * self.rows.max(0) as usize];
         self.fixed_bits = vec![0u64; wpr * self.rows.max(0) as usize];
         // Padding bits beyond sites_x read as occupied/blocked so word
@@ -407,32 +391,30 @@ impl PixelGrid {
         }
         for row in 0..self.rows {
             for site in 0..self.sites_x {
-                match self.occ[(row * self.sites_x + site) as usize] {
+                let (w, bit) = (self.word(site, row), 1u64 << (site as usize % 64));
+                match self.occ[self.pix(site, row)] {
                     FREE => {}
                     BLOCKED => {
-                        let w = row as usize * wpr + site as usize / 64;
-                        self.occ_bits[w] |= 1u64 << (site as usize % 64);
-                        self.fixed_bits[w] |= 1u64 << (site as usize % 64);
+                        self.occ_bits[w] |= bit;
+                        self.fixed_bits[w] |= bit;
                     }
-                    _ => {
-                        let w = row as usize * wpr + site as usize / 64;
-                        self.occ_bits[w] |= 1u64 << (site as usize % 64);
-                    }
+                    _ => self.occ_bits[w] |= bit,
                 }
             }
         }
     }
 
+    /// Index of pixel `(site, row)` in the stored per-pixel blocks.
     #[inline]
-    fn set_occ_bit(&mut self, site: i64, row: i64) {
-        let w = row as usize * self.words_per_row + site as usize / 64;
-        self.occ_bits[w] |= 1u64 << (site as usize % 64);
+    fn pix(&self, site: i64, row: i64) -> usize {
+        let ww = (self.win.hi_site - self.win.lo_site) as usize;
+        (row - self.win.lo_row) as usize * ww + (site - self.win.lo_site) as usize
     }
 
+    /// Index of the stored bitmap word holding pixel `(site, row)`.
     #[inline]
-    fn clear_occ_bit(&mut self, site: i64, row: i64) {
-        let w = row as usize * self.words_per_row + site as usize / 64;
-        self.occ_bits[w] &= !(1u64 << (site as usize % 64));
+    fn word(&self, site: i64, row: i64) -> usize {
+        (row - self.win.lo_row) as usize * (self.w_hi - self.w_lo) + site as usize / 64 - self.w_lo
     }
 
     fn for_pixels_overlapping(
@@ -453,20 +435,26 @@ impl PixelGrid {
             .min(self.rows);
         for row in lo_r..hi_r {
             for site in lo_s..hi_s {
-                let idx = (row * self.sites_x + site) as usize;
+                let idx = self.pix(site, row);
                 f(self, idx);
             }
         }
     }
 
-    /// Number of sites across.
+    /// Number of sites across the die.
     pub fn sites_x(&self) -> i64 {
         self.sites_x
     }
 
-    /// Number of rows.
+    /// Number of rows of the die.
     pub fn rows(&self) -> i64 {
         self.rows
+    }
+
+    /// The stored window: the whole die, or the window last
+    /// [`load`](Self::load)ed.
+    pub fn window(&self) -> GridWindow {
+        self.win
     }
 
     /// Converts a grid position to the dbu lower-left corner.
@@ -485,61 +473,97 @@ impl PixelGrid {
         }
     }
 
-    /// Word-level test that `bits` is all-zero over the in-bounds window
-    /// `[site, site+w) × [row, row+h)` (u64×4 blocks via
-    /// [`window_zero_words`]).
+    /// Word-level test that `bits` is all-zero over the in-window footprint
+    /// `[site, site + w) × [row, row + h)`. The hot loop ORs u64×4 blocks
+    /// across rows — plain indexed array ops the autovectorizer lowers to
+    /// 256-bit loads on AVX2 (128-bit pairs on NEON) — with a scalar tail
+    /// for the remaining columns.
     #[inline]
     fn window_zero(&self, bits: &[u64], site: i64, row: i64, w: i64, h: i64) -> bool {
-        window_zero_words(
-            bits,
-            self.words_per_row,
-            row as usize,
-            h as usize,
-            0,
-            site,
-            w,
-        )
+        let stride = self.w_hi - self.w_lo;
+        let row0 = (row - self.win.lo_row) as usize;
+        let lo_w = site as usize / 64;
+        let hi_w = ((site + w - 1) as usize / 64) + 1;
+        let mask_of = |wi: usize| {
+            let base = wi as i64 * 64;
+            let mut mask = !0u64;
+            if base < site {
+                mask &= !0u64 << (site - base);
+            }
+            let k = site + w - base;
+            if k < 64 {
+                mask &= (1u64 << k) - 1;
+            }
+            mask
+        };
+        let mut wi = lo_w;
+        while wi + 4 <= hi_w {
+            let mut acc = [0u64; 4];
+            for r in 0..h as usize {
+                let rb = (row0 + r) * stride + (wi - self.w_lo);
+                let w4: &[u64; 4] = bits[rb..rb + 4].try_into().unwrap();
+                acc[0] |= w4[0];
+                acc[1] |= w4[1];
+                acc[2] |= w4[2];
+                acc[3] |= w4[3];
+            }
+            for (j, a) in acc.iter().enumerate() {
+                if a & mask_of(wi + j) != 0 {
+                    return false;
+                }
+            }
+            wi += 4;
+        }
+        while wi < hi_w {
+            let mask = mask_of(wi);
+            for r in 0..h as usize {
+                if bits[(row0 + r) * stride + (wi - self.w_lo)] & mask != 0 {
+                    return false;
+                }
+            }
+            wi += 1;
+        }
+        true
     }
 
     /// `true` when every pixel of the `w_sites × h_rows` window anchored at
-    /// `pos` is unoccupied (no placed cell, no macro). Out-of-bounds
-    /// windows are not free.
+    /// `pos` is unoccupied (no placed cell, no macro). Windows leaving the
+    /// stored window are not free.
     pub fn window_free(&self, pos: GridPos, w_sites: i64, h_rows: i64) -> bool {
-        if pos.site < 0
-            || pos.row < 0
-            || w_sites <= 0
-            || h_rows <= 0
-            || pos.site + w_sites > self.sites_x
-            || pos.row + h_rows > self.rows
-        {
-            return false;
-        }
-        self.window_zero(&self.occ_bits, pos.site, pos.row, w_sites, h_rows)
+        w_sites > 0
+            && h_rows > 0
+            && self.win.contains_footprint(pos, w_sites, h_rows)
+            && self.window_zero(&self.occ_bits, pos.site, pos.row, w_sites, h_rows)
     }
 
     /// `true` when the window anchored at `pos` touches any fixed-cell
     /// (blocked) pixel. Out-of-bounds windows count as blocked.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) on a loaded window, which keeps no
+    /// fixed-cell bitmap.
     pub fn window_has_fixed(&self, pos: GridPos, w_sites: i64, h_rows: i64) -> bool {
-        if pos.site < 0
-            || pos.row < 0
-            || w_sites <= 0
-            || h_rows <= 0
-            || pos.site + w_sites > self.sites_x
-            || pos.row + h_rows > self.rows
-        {
-            return true;
-        }
-        !self.window_zero(&self.fixed_bits, pos.site, pos.row, w_sites, h_rows)
+        debug_assert_eq!(
+            self.fixed_bits.len(),
+            self.occ_bits.len(),
+            "window_has_fixed needs the full grid"
+        );
+        !(w_sites > 0
+            && h_rows > 0
+            && self.win.contains_footprint(pos, w_sites, h_rows)
+            && self.window_zero(&self.fixed_bits, pos.site, pos.row, w_sites, h_rows))
     }
 
     /// Enumerates maximal free spans `[s_lo, s_hi)` of sites within
     /// `[lo, hi)` where all rows `row..row + h_rows` are simultaneously
     /// unoccupied, in ascending site order. `lo`/`hi` are clamped to the
-    /// grid; rows must be in bounds.
+    /// die; rows must be in bounds.
     ///
     /// # Panics
     ///
-    /// Panics (debug assertion) when the row band leaves the grid.
+    /// Panics (debug assertion) when the row band or the clamped site
+    /// range leaves the stored window.
     pub fn for_each_free_span(
         &self,
         row: i64,
@@ -548,27 +572,64 @@ impl PixelGrid {
         hi: i64,
         f: impl FnMut(i64, i64),
     ) {
-        debug_assert!(row >= 0 && h_rows >= 1 && row + h_rows <= self.rows);
+        debug_assert!(row >= self.win.lo_row && h_rows >= 1 && row + h_rows <= self.win.hi_row);
         let lo = lo.max(0);
         let hi = hi.min(self.sites_x);
         if lo >= hi {
             return;
         }
-        let wpr = self.words_per_row;
-        walk_free_spans(
-            lo,
-            hi,
-            band_words(
-                &self.occ_bits,
-                wpr,
-                row as usize,
-                h_rows as usize,
-                0,
-                lo as usize / 64,
-                wpr,
-            ),
-            f,
+        debug_assert!(
+            lo >= self.win.lo_site && hi <= self.win.hi_site,
+            "span range [{lo},{hi}) leaves window {:?}",
+            self.win
         );
+        // Row-band words: the OR of the band's rows per word column,
+        // folded u64×4 columns at a time and cached, so the strictly
+        // ascending walk folds each block across the rows once instead of
+        // per column. Blocks are aligned at the first queried column.
+        let stride = self.w_hi - self.w_lo;
+        let row0 = (row - self.win.lo_row) as usize;
+        let lo_w = lo as usize / 64;
+        let mut blk = usize::MAX;
+        let mut cache = [0u64; 4];
+        let band_word = |wi: usize| {
+            let b = lo_w + ((wi - lo_w) & !3);
+            if b != blk {
+                blk = b;
+                cache = [0u64; 4];
+                let n = 4.min(self.w_hi - b);
+                if n == 4 {
+                    for r in 0..h_rows as usize {
+                        let rb = (row0 + r) * stride + (b - self.w_lo);
+                        let w4: &[u64; 4] = self.occ_bits[rb..rb + 4].try_into().unwrap();
+                        cache[0] |= w4[0];
+                        cache[1] |= w4[1];
+                        cache[2] |= w4[2];
+                        cache[3] |= w4[3];
+                    }
+                } else {
+                    for r in 0..h_rows as usize {
+                        let rb = (row0 + r) * stride + (b - self.w_lo);
+                        for (j, c) in cache.iter_mut().take(n).enumerate() {
+                            *c |= self.occ_bits[rb + j];
+                        }
+                    }
+                }
+            }
+            cache[wi - b]
+        };
+        walk_free_spans(lo, hi, band_word, f);
+    }
+
+    /// The fence rule at stored pixel `idx`: a fenced cell must sit fully
+    /// inside its own region, an unfenced one clear of every region. With
+    /// no fence regions in the design only unfenced cells pass.
+    #[inline]
+    fn fence_ok(&self, region: Option<RegionId>, idx: usize) -> bool {
+        match region {
+            Some(reg) => self.has_fences && self.fence_inside[idx] == reg.0,
+            None => !self.has_fences || !self.fence_touched[idx],
+        }
     }
 
     /// Per-pixel occupancy + fence loop shared by [`check_place`]
@@ -583,27 +644,17 @@ impl PixelGrid {
         w_sites: i64,
         h_rows: i64,
     ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
+        let region = design.cell(cell).region;
         let me = cell.0;
         for row in pos.row..pos.row + h_rows {
-            let base = (row * self.sites_x) as usize;
-            for site in pos.site..pos.site + w_sites {
-                let idx = base + site as usize;
+            let base = self.pix(pos.site, row);
+            for idx in base..base + w_sites as usize {
                 let occ = self.occ[idx];
                 if occ != FREE && occ != me {
                     return Err(PlaceRejection::Occupied);
                 }
-                match c.region {
-                    Some(reg) => {
-                        if self.fence_inside[idx] != reg.0 {
-                            return Err(PlaceRejection::Fence);
-                        }
-                    }
-                    None => {
-                        if self.fence_touched[idx] {
-                            return Err(PlaceRejection::Fence);
-                        }
-                    }
+                if !self.fence_ok(region, idx) {
+                    return Err(PlaceRejection::Fence);
                 }
             }
         }
@@ -620,549 +671,17 @@ impl PixelGrid {
         w_sites: i64,
         h_rows: i64,
     ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
+        let region = design.cell(cell).region;
         for row in pos.row..pos.row + h_rows {
-            let base = (row * self.sites_x) as usize;
-            for site in pos.site..pos.site + w_sites {
-                let idx = base + site as usize;
-                match c.region {
-                    Some(reg) => {
-                        if self.fence_inside[idx] != reg.0 {
-                            return Err(PlaceRejection::Fence);
-                        }
-                    }
-                    None => {
-                        if self.fence_touched[idx] {
-                            return Err(PlaceRejection::Fence);
-                        }
-                    }
-                }
+            let base = self.pix(pos.site, row);
+            if !(base..base + w_sites as usize).all(|idx| self.fence_ok(region, idx)) {
+                return Err(PlaceRejection::Fence);
             }
         }
         Ok(())
     }
 
     /// Edge-spacing check against already placed neighbours on shared rows.
-    fn edge_spacing_check(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-        h_rows: i64,
-    ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
-        let me = cell.0;
-        let sw = design.tech.site_width;
-        let x_lo = design.core.lo.x + pos.site * sw;
-        let x_hi = x_lo + c.width;
-        for row in pos.row..pos.row + h_rows {
-            let map = &self.row_cells[row as usize];
-            if let Some((_, &(left_hi, left_cell))) = map.range(..x_lo).next_back() {
-                if left_cell != me && left_hi <= x_lo {
-                    let lc = design.cell(CellId(left_cell));
-                    let need = design.tech.edge_spacing(lc.edge_right, c.edge_left);
-                    if x_lo - left_hi < need {
-                        return Err(PlaceRejection::EdgeSpacing);
-                    }
-                }
-            }
-            if let Some((&right_lo, &(_, right_cell))) = map.range(x_lo..).next() {
-                if right_cell != me && right_lo >= x_hi {
-                    let rc = design.cell(CellId(right_cell));
-                    let need = design.tech.edge_spacing(c.edge_right, rc.edge_left);
-                    if right_lo - x_hi < need {
-                        return Err(PlaceRejection::EdgeSpacing);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Full legality check of placing `cell` with its lower-left pixel at
-    /// `pos`. `Ok(())` means the position is legal w.r.t. bounds, rail
-    /// parity, occupancy, fences, and edge spacing (the max-displacement
-    /// constraint is the search's concern, not the grid's).
-    ///
-    /// Occupancy goes through the word-level bitmaps: a clean window test
-    /// skips the per-pixel loop entirely (on fence-free designs the fence
-    /// scan too); any set bit falls back to the exact per-pixel reference
-    /// walk so rejection ordering matches
-    /// [`check_place_reference`](Self::check_place_reference) bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlaceRejection`] encountered, checking cheap
-    /// rules first.
-    pub fn check_place(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-    ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
-        let w_sites = c.width / design.tech.site_width;
-        let h_rows = i64::from(c.height_rows);
-        if pos.site < 0
-            || pos.row < 0
-            || pos.site + w_sites > self.sites_x
-            || pos.row + h_rows > self.rows
-        {
-            return Err(PlaceRejection::OutOfBounds);
-        }
-        if c.is_rail_constrained() && !c.rail.allows_row(pos.row) {
-            return Err(PlaceRejection::RailParity);
-        }
-        if self.window_zero(&self.occ_bits, pos.site, pos.row, w_sites, h_rows) {
-            debug_assert_eq!(
-                self.pixel_loop(design, cell, pos, w_sites, h_rows).err(),
-                if self.has_fences {
-                    self.fence_loop(design, cell, pos, w_sites, h_rows).err()
-                } else {
-                    None
-                },
-                "bitmap fast path disagrees with the per-pixel reference"
-            );
-            if self.has_fences {
-                self.fence_loop(design, cell, pos, w_sites, h_rows)?;
-            }
-        } else {
-            self.pixel_loop(design, cell, pos, w_sites, h_rows)?;
-        }
-        self.edge_spacing_check(design, cell, pos, h_rows)
-    }
-
-    /// The pre-bitmap legality check: identical semantics to
-    /// [`check_place`](Self::check_place) via per-pixel scans only. Kept as
-    /// the oracle for equivalence tests and as the honest "before" baseline
-    /// in the bench harness.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlaceRejection`] encountered, checking cheap
-    /// rules first.
-    pub fn check_place_reference(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-    ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
-        let w_sites = c.width / design.tech.site_width;
-        let h_rows = i64::from(c.height_rows);
-        if pos.site < 0
-            || pos.row < 0
-            || pos.site + w_sites > self.sites_x
-            || pos.row + h_rows > self.rows
-        {
-            return Err(PlaceRejection::OutOfBounds);
-        }
-        if c.is_rail_constrained() && !c.rail.allows_row(pos.row) {
-            return Err(PlaceRejection::RailParity);
-        }
-        self.pixel_loop(design, cell, pos, w_sites, h_rows)?;
-        self.edge_spacing_check(design, cell, pos, h_rows)
-    }
-
-    /// Marks `cell` as occupying the pixels at `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertion) when the position is not
-    /// [`check_place`](Self::check_place)-legal; callers must check first.
-    pub fn place(&mut self, design: &Design, cell: CellId, pos: GridPos) {
-        debug_assert_eq!(self.check_place(design, cell, pos), Ok(()));
-        let c = design.cell(cell);
-        let w_sites = c.width / design.tech.site_width;
-        let h_rows = i64::from(c.height_rows);
-        for row in pos.row..pos.row + h_rows {
-            let base = (row * self.sites_x) as usize;
-            for site in pos.site..pos.site + w_sites {
-                self.occ[base + site as usize] = cell.0;
-                self.set_occ_bit(site, row);
-            }
-        }
-        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
-        for row in pos.row..pos.row + h_rows {
-            self.row_cells[row as usize].insert(x_lo, (x_lo + c.width, cell.0));
-        }
-    }
-
-    /// Clears `cell` from the pixels at `pos` (its current placement).
-    pub fn remove(&mut self, design: &Design, cell: CellId, pos: GridPos) {
-        let c = design.cell(cell);
-        let w_sites = c.width / design.tech.site_width;
-        let h_rows = i64::from(c.height_rows);
-        for row in pos.row..pos.row + h_rows {
-            let base = (row * self.sites_x) as usize;
-            for site in pos.site..pos.site + w_sites {
-                let idx = base + site as usize;
-                debug_assert_eq!(self.occ[idx], cell.0, "removing wrong occupant");
-                self.occ[idx] = FREE;
-                self.clear_occ_bit(site, row);
-            }
-        }
-        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
-        for row in pos.row..pos.row + h_rows {
-            self.row_cells[row as usize].remove(&x_lo);
-        }
-    }
-
-    /// `true` when lifting `cell` (placed at `pos`) cannot expose an
-    /// illegal adjacency: on every row the cell spans, the placed cells to
-    /// its left and right — which become adjacent once the cell is gone —
-    /// still satisfy their mutual edge-spacing requirement.
-    ///
-    /// [`check_place`](Self::check_place) only validates a mover's *new*
-    /// spot against its new neighbours; the adjacency its departure
-    /// creates at the old spot is invisible to it. Any caller that
-    /// relocates an already-placed cell must hold this before removing
-    /// it, or two cells it was legally wedged between end up closer than
-    /// their edge types allow.
-    pub fn vacate_safe(&self, design: &Design, cell: CellId, pos: GridPos) -> bool {
-        let c = design.cell(cell);
-        let h_rows = i64::from(c.height_rows);
-        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
-        for row in pos.row..pos.row + h_rows {
-            let map = &self.row_cells[row as usize];
-            debug_assert_eq!(map.get(&x_lo).map(|&(_, id)| id), Some(cell.0));
-            if let (Some((_, &(left_hi, left_cell))), Some((&right_lo, &(_, right_cell)))) =
-                (map.range(..x_lo).next_back(), map.range(x_lo + 1..).next())
-            {
-                let lc = design.cell(CellId(left_cell));
-                let rc = design.cell(CellId(right_cell));
-                let need = design.tech.edge_spacing(lc.edge_right, rc.edge_left);
-                if right_lo - left_hi < need {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Occupant of a pixel: `Some(cell)` for a movable cell, `None` when
-    /// free or blocked by a macro. Out-of-range pixels read as blocked.
-    pub fn occupant(&self, site: i64, row: i64) -> Option<CellId> {
-        if site < 0 || row < 0 || site >= self.sites_x || row >= self.rows {
-            return None;
-        }
-        match self.occ[(row * self.sites_x + site) as usize] {
-            FREE | BLOCKED => None,
-            id => Some(CellId(id)),
-        }
-    }
-
-    /// `true` when a pixel holds neither a placed cell nor a macro.
-    pub fn is_free(&self, site: i64, row: i64) -> bool {
-        site >= 0
-            && row >= 0
-            && site < self.sites_x
-            && row < self.rows
-            && self.occ[(row * self.sites_x + site) as usize] == FREE
-    }
-
-    /// Fraction of pixels that are free (diagnostic).
-    pub fn free_ratio(&self) -> f64 {
-        let free = self.occ.iter().filter(|&&o| o == FREE).count();
-        free as f64 / self.occ.len().max(1) as f64
-    }
-
-    /// Snapshots the window `win` into a fresh [`SubGrid`] scratch: only the
-    /// window's occupancy words, occupant block, fence block (when the
-    /// design has fences), and the row-index entries within the
-    /// max-edge-spacing halo are copied — not the whole core.
-    ///
-    /// Prefer keeping one `SubGrid` per worker and calling
-    /// [`SubGrid::load`] to reuse its buffers across windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `win` is degenerate or leaves the grid.
-    pub fn extract_window(&self, design: &Design, win: GridWindow) -> SubGrid {
-        let mut sub = SubGrid::new();
-        sub.load(self, design, win);
-        sub
-    }
-}
-
-impl GridRead for PixelGrid {
-    fn sites_x(&self) -> i64 {
-        PixelGrid::sites_x(self)
-    }
-
-    fn rows(&self) -> i64 {
-        PixelGrid::rows(self)
-    }
-
-    fn for_each_free_span(&self, row: i64, h_rows: i64, lo: i64, hi: i64, f: impl FnMut(i64, i64)) {
-        PixelGrid::for_each_free_span(self, row, h_rows, lo, hi, f);
-    }
-
-    fn check_place(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-    ) -> Result<(), PlaceRejection> {
-        PixelGrid::check_place(self, design, cell, pos)
-    }
-}
-
-/// A window-scoped scratch snapshot of a [`PixelGrid`]: the occupancy
-/// state of one [`GridWindow`] (plus the edge-spacing halo of the row
-/// index), answering the same queries as the full grid for any footprint
-/// inside the window.
-///
-/// This is the clone-free substrate of parallel per-Gcell legalization:
-/// instead of cloning the whole grid per Gcell, each worker keeps one
-/// `SubGrid` and [`load`](Self::load)s it per window, copying `O(window)`
-/// bytes and reusing its buffers between Gcells. Queries and placements use
-/// **full-grid** coordinates; [`GridRead::sites_x`]/[`GridRead::rows`]
-/// report the full grid's dimensions so search-space bounds derived from
-/// them match the full grid exactly.
-///
-/// The snapshot is *exact* for in-window footprints:
-///
-/// - occupancy words are copied verbatim (word-aligned, so boundary words
-///   retain out-of-window neighbour bits, which every query masks off),
-/// - the row index copies the entries whose occupied interval ends within
-///   [`Technology::max_edge_spacing`](rlleg_design::Technology::max_edge_spacing)
-///   of the window; since placed intervals are disjoint, any dropped entry
-///   is provably too far away to decide an edge-spacing check for an
-///   in-window footprint, so [`check_place`](Self::check_place) returns
-///   exactly what the full grid would.
-///
-/// Probing a footprint that leaves the window is a contract violation
-/// (debug assertion).
-#[derive(Debug, Clone)]
-pub struct SubGrid {
-    win: GridWindow,
-    /// Full-grid dimensions, reported by the [`GridRead`] impl.
-    sites_x: i64,
-    rows: i64,
-    /// Copied word-column range `[w_lo, w_hi)` of the occupancy bitmap.
-    w_lo: usize,
-    w_hi: usize,
-    /// Window occupancy words, `(hi_row - lo_row) × (w_hi - w_lo)`.
-    occ_bits: Vec<u64>,
-    /// Window occupant block, row-major, window-local indexing.
-    occ: Vec<u32>,
-    /// Window fence blocks (empty when the design has no fences).
-    fence_inside: Vec<u16>,
-    fence_touched: Vec<bool>,
-    has_fences: bool,
-    /// Per window row: halo-trimmed copy of the edge-spacing row index.
-    row_cells: Vec<BTreeMap<Dbu, (Dbu, u32)>>,
-}
-
-impl Default for SubGrid {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SubGrid {
-    /// An empty scratch; call [`load`](Self::load) before use.
-    pub fn new() -> Self {
-        Self {
-            win: GridWindow {
-                lo_site: 0,
-                lo_row: 0,
-                hi_site: 0,
-                hi_row: 0,
-            },
-            sites_x: 0,
-            rows: 0,
-            w_lo: 0,
-            w_hi: 0,
-            occ_bits: Vec::new(),
-            occ: Vec::new(),
-            fence_inside: Vec::new(),
-            fence_touched: Vec::new(),
-            has_fences: false,
-            row_cells: Vec::new(),
-        }
-    }
-
-    /// The window this scratch currently snapshots.
-    pub fn window(&self) -> GridWindow {
-        self.win
-    }
-
-    /// Re-snapshots `win` from `base`, reusing this scratch's buffers
-    /// (reset, not reallocated, when capacities suffice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `win` is degenerate or leaves the grid.
-    pub fn load(&mut self, base: &PixelGrid, design: &Design, win: GridWindow) {
-        assert!(!win.is_degenerate(), "cannot snapshot a degenerate window");
-        assert!(
-            win.lo_site >= 0
-                && win.lo_row >= 0
-                && win.hi_site <= base.sites_x
-                && win.hi_row <= base.rows,
-            "window {win:?} leaves the {}x{} grid",
-            base.sites_x,
-            base.rows
-        );
-        self.win = win;
-        self.sites_x = base.sites_x;
-        self.rows = base.rows;
-        self.w_lo = (win.lo_site / 64) as usize;
-        self.w_hi = ((win.hi_site - 1) / 64) as usize + 1;
-        let ww = (win.hi_site - win.lo_site) as usize;
-        self.occ_bits.clear();
-        self.occ.clear();
-        for row in win.lo_row..win.hi_row {
-            let wb = row as usize * base.words_per_row;
-            self.occ_bits
-                .extend_from_slice(&base.occ_bits[wb + self.w_lo..wb + self.w_hi]);
-            let pb = (row * base.sites_x + win.lo_site) as usize;
-            self.occ.extend_from_slice(&base.occ[pb..pb + ww]);
-        }
-        self.has_fences = base.has_fences;
-        self.fence_inside.clear();
-        self.fence_touched.clear();
-        if base.has_fences {
-            for row in win.lo_row..win.hi_row {
-                let pb = (row * base.sites_x + win.lo_site) as usize;
-                self.fence_inside
-                    .extend_from_slice(&base.fence_inside[pb..pb + ww]);
-                self.fence_touched
-                    .extend_from_slice(&base.fence_touched[pb..pb + ww]);
-            }
-        }
-        // Row index: an entry can decide an edge-spacing check for an
-        // in-window footprint only if its interval ends after
-        // `x_lo - halo`; row intervals are disjoint, so everything to the
-        // left of the last such entry is farther still and can be dropped.
-        let halo = design.tech.max_edge_spacing();
-        let sw = design.tech.site_width;
-        let x_lo = design.core.lo.x + win.lo_site * sw;
-        let x_hi = design.core.lo.x + win.hi_site * sw;
-        let h = (win.hi_row - win.lo_row) as usize;
-        for m in &mut self.row_cells {
-            m.clear();
-        }
-        self.row_cells.resize_with(h, BTreeMap::new);
-        for (local, row) in (win.lo_row..win.hi_row).enumerate() {
-            let map = &mut self.row_cells[local];
-            let src = &base.row_cells[row as usize];
-            if let Some((&k, &v)) = src.range(..x_lo - halo).next_back() {
-                if v.0 > x_lo - halo {
-                    map.insert(k, v);
-                }
-            }
-            for (&k, &v) in src.range(x_lo - halo..x_hi + halo) {
-                map.insert(k, v);
-            }
-        }
-    }
-
-    /// Words per local row of the copied bitmap block.
-    #[inline]
-    fn wpr(&self) -> usize {
-        self.w_hi - self.w_lo
-    }
-
-    /// Window-local pixel index for a full-grid `(site, row)`.
-    #[inline]
-    fn pix(&self, site: i64, row: i64) -> usize {
-        let ww = (self.win.hi_site - self.win.lo_site) as usize;
-        (row - self.win.lo_row) as usize * ww + (site - self.win.lo_site) as usize
-    }
-
-    /// Word-level test that the in-window footprint is all-free
-    /// (mirrors [`PixelGrid::window_zero`] over the copied words, same
-    /// u64×4 block path).
-    fn window_zero(&self, site: i64, row: i64, w: i64, h: i64) -> bool {
-        window_zero_words(
-            &self.occ_bits,
-            self.wpr(),
-            (row - self.win.lo_row) as usize,
-            h as usize,
-            self.w_lo,
-            site,
-            w,
-        )
-    }
-
-    /// Per-pixel occupancy + fence loop (mirrors [`PixelGrid::pixel_loop`]
-    /// with window-local indexing; same first-rejection ordering).
-    fn pixel_loop(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-        w_sites: i64,
-        h_rows: i64,
-    ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
-        let me = cell.0;
-        for row in pos.row..pos.row + h_rows {
-            for site in pos.site..pos.site + w_sites {
-                let idx = self.pix(site, row);
-                let occ = self.occ[idx];
-                if occ != FREE && occ != me {
-                    return Err(PlaceRejection::Occupied);
-                }
-                if self.has_fences {
-                    match c.region {
-                        Some(reg) => {
-                            if self.fence_inside[idx] != reg.0 {
-                                return Err(PlaceRejection::Fence);
-                            }
-                        }
-                        None => {
-                            if self.fence_touched[idx] {
-                                return Err(PlaceRejection::Fence);
-                            }
-                        }
-                    }
-                } else if c.region.is_some() {
-                    // No fences rasterized: a fenced cell can never sit
-                    // "inside" its region (matches NO_FENCE semantics).
-                    return Err(PlaceRejection::Fence);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fence-only per-pixel loop after a clean word test (mirrors
-    /// [`PixelGrid::fence_loop`]).
-    fn fence_loop(
-        &self,
-        design: &Design,
-        cell: CellId,
-        pos: GridPos,
-        w_sites: i64,
-        h_rows: i64,
-    ) -> Result<(), PlaceRejection> {
-        let c = design.cell(cell);
-        for row in pos.row..pos.row + h_rows {
-            for site in pos.site..pos.site + w_sites {
-                let idx = self.pix(site, row);
-                match c.region {
-                    Some(reg) => {
-                        if self.fence_inside[idx] != reg.0 {
-                            return Err(PlaceRejection::Fence);
-                        }
-                    }
-                    None => {
-                        if self.fence_touched[idx] {
-                            return Err(PlaceRejection::Fence);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Edge-spacing check against the halo-trimmed row index (mirrors
-    /// [`PixelGrid::edge_spacing_check`]).
     fn edge_spacing_check(
         &self,
         design: &Design,
@@ -1199,24 +718,14 @@ impl SubGrid {
         Ok(())
     }
 
-    /// Full legality check of placing `cell` at `pos`, identical to
-    /// [`PixelGrid::check_place`] for any footprint inside the window.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlaceRejection`] encountered, checking cheap
-    /// rules first.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertion) when the in-bounds footprint leaves the
-    /// snapshot window.
-    pub fn check_place(
+    /// The rules both legality checks test first, cheapest first: die
+    /// bounds, then rail parity. Returns the footprint `(w_sites, h_rows)`.
+    fn footprint(
         &self,
         design: &Design,
         cell: CellId,
         pos: GridPos,
-    ) -> Result<(), PlaceRejection> {
+    ) -> Result<(i64, i64), PlaceRejection> {
         let c = design.cell(cell);
         let w_sites = c.width / design.tech.site_width;
         let h_rows = i64::from(c.height_rows);
@@ -1229,13 +738,47 @@ impl SubGrid {
         }
         debug_assert!(
             self.win.contains_footprint(pos, w_sites, h_rows),
-            "SubGrid probed outside its window: {pos:?} {w_sites}x{h_rows} vs {:?}",
+            "probe leaves the stored window: {pos:?} {w_sites}x{h_rows} vs {:?}",
             self.win
         );
         if c.is_rail_constrained() && !c.rail.allows_row(pos.row) {
             return Err(PlaceRejection::RailParity);
         }
-        if self.window_zero(pos.site, pos.row, w_sites, h_rows) {
+        Ok((w_sites, h_rows))
+    }
+
+    /// Full legality check of placing `cell` with its lower-left pixel at
+    /// `pos`. `Ok(())` means the position is legal w.r.t. bounds, rail
+    /// parity, occupancy, fences, and edge spacing (the max-displacement
+    /// constraint is the search's concern, not the grid's).
+    ///
+    /// Occupancy goes through the word-level bitmaps: a clean window test
+    /// skips the per-pixel loop entirely (on fence-free designs the fence
+    /// scan too); any set bit falls back to the exact per-pixel reference
+    /// walk so rejection ordering matches
+    /// [`check_place_reference`](Self::check_place_reference) bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`PlaceRejection`] encountered, checking cheap
+    /// rules first.
+    pub fn check_place(
+        &self,
+        design: &Design,
+        cell: CellId,
+        pos: GridPos,
+    ) -> Result<(), PlaceRejection> {
+        let (w_sites, h_rows) = self.footprint(design, cell, pos)?;
+        if self.window_zero(&self.occ_bits, pos.site, pos.row, w_sites, h_rows) {
+            debug_assert_eq!(
+                self.pixel_loop(design, cell, pos, w_sites, h_rows).err(),
+                if self.has_fences {
+                    self.fence_loop(design, cell, pos, w_sites, h_rows).err()
+                } else {
+                    None
+                },
+                "bitmap fast path disagrees with the per-pixel reference"
+            );
             if self.has_fences {
                 self.fence_loop(design, cell, pos, w_sites, h_rows)?;
             }
@@ -1245,78 +788,120 @@ impl SubGrid {
         self.edge_spacing_check(design, cell, pos, h_rows)
     }
 
-    /// Marks `cell` as occupying the pixels at `pos` within the snapshot.
+    /// The pre-bitmap legality check: identical semantics to
+    /// [`check_place`](Self::check_place) via per-pixel scans only. Kept as
+    /// the oracle for equivalence tests and as the honest "before" baseline
+    /// in the bench harness.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (debug assertion) when the position is not
-    /// [`check_place`](Self::check_place)-legal.
-    pub fn place(&mut self, design: &Design, cell: CellId, pos: GridPos) {
-        debug_assert_eq!(self.check_place(design, cell, pos), Ok(()));
-        let c = design.cell(cell);
-        let w_sites = c.width / design.tech.site_width;
-        let h_rows = i64::from(c.height_rows);
-        let wpr = self.wpr();
-        for row in pos.row..pos.row + h_rows {
-            let wb = (row - self.win.lo_row) as usize * wpr;
-            for site in pos.site..pos.site + w_sites {
-                let idx = self.pix(site, row);
-                self.occ[idx] = cell.0;
-                self.occ_bits[wb + (site as usize / 64 - self.w_lo)] |=
-                    1u64 << (site as usize % 64);
-            }
-        }
-        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
-        for row in pos.row..pos.row + h_rows {
-            self.row_cells[(row - self.win.lo_row) as usize].insert(x_lo, (x_lo + c.width, cell.0));
-        }
-    }
-}
-
-impl GridRead for SubGrid {
-    fn sites_x(&self) -> i64 {
-        self.sites_x
-    }
-
-    fn rows(&self) -> i64 {
-        self.rows
-    }
-
-    fn for_each_free_span(&self, row: i64, h_rows: i64, lo: i64, hi: i64, f: impl FnMut(i64, i64)) {
-        debug_assert!(row >= self.win.lo_row && h_rows >= 1 && row + h_rows <= self.win.hi_row);
-        let lo = lo.max(0);
-        let hi = hi.min(self.sites_x);
-        if lo >= hi {
-            return;
-        }
-        debug_assert!(
-            lo >= self.win.lo_site && hi <= self.win.hi_site,
-            "span range [{lo},{hi}) leaves window {:?}",
-            self.win
-        );
-        walk_free_spans(
-            lo,
-            hi,
-            band_words(
-                &self.occ_bits,
-                self.wpr(),
-                (row - self.win.lo_row) as usize,
-                h_rows as usize,
-                self.w_lo,
-                lo as usize / 64,
-                self.w_hi,
-            ),
-            f,
-        );
-    }
-
-    fn check_place(
+    /// Returns the first [`PlaceRejection`] encountered, checking cheap
+    /// rules first.
+    pub fn check_place_reference(
         &self,
         design: &Design,
         cell: CellId,
         pos: GridPos,
     ) -> Result<(), PlaceRejection> {
-        SubGrid::check_place(self, design, cell, pos)
+        let (w_sites, h_rows) = self.footprint(design, cell, pos)?;
+        self.pixel_loop(design, cell, pos, w_sites, h_rows)?;
+        self.edge_spacing_check(design, cell, pos, h_rows)
+    }
+
+    /// Marks `cell` as occupying the pixels at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) when the position is not
+    /// [`check_place`](Self::check_place)-legal; callers must check first.
+    pub fn place(&mut self, design: &Design, cell: CellId, pos: GridPos) {
+        debug_assert_eq!(self.check_place(design, cell, pos), Ok(()));
+        let c = design.cell(cell);
+        let w_sites = c.width / design.tech.site_width;
+        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
+        for row in pos.row..pos.row + i64::from(c.height_rows) {
+            let base = self.pix(pos.site, row);
+            for (idx, site) in (base..).zip(pos.site..pos.site + w_sites) {
+                self.occ[idx] = cell.0;
+                let w = self.word(site, row);
+                self.occ_bits[w] |= 1u64 << (site as usize % 64);
+            }
+            self.row_cells[(row - self.win.lo_row) as usize].insert(x_lo, (x_lo + c.width, cell.0));
+        }
+    }
+
+    /// Clears `cell` from the pixels at `pos` (its current placement).
+    pub fn remove(&mut self, design: &Design, cell: CellId, pos: GridPos) {
+        let c = design.cell(cell);
+        let w_sites = c.width / design.tech.site_width;
+        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
+        for row in pos.row..pos.row + i64::from(c.height_rows) {
+            let base = self.pix(pos.site, row);
+            for (idx, site) in (base..).zip(pos.site..pos.site + w_sites) {
+                debug_assert_eq!(self.occ[idx], cell.0, "removing wrong occupant");
+                self.occ[idx] = FREE;
+                let w = self.word(site, row);
+                self.occ_bits[w] &= !(1u64 << (site as usize % 64));
+            }
+            self.row_cells[(row - self.win.lo_row) as usize].remove(&x_lo);
+        }
+    }
+
+    /// `true` when lifting `cell` (placed at `pos`) cannot expose an
+    /// illegal adjacency: on every row the cell spans, the placed cells to
+    /// its left and right — which become adjacent once the cell is gone —
+    /// still satisfy their mutual edge-spacing requirement.
+    ///
+    /// [`check_place`](Self::check_place) only validates a mover's *new*
+    /// spot against its new neighbours; the adjacency its departure
+    /// creates at the old spot is invisible to it. Any caller that
+    /// relocates an already-placed cell must hold this before removing
+    /// it, or two cells it was legally wedged between end up closer than
+    /// their edge types allow.
+    pub fn vacate_safe(&self, design: &Design, cell: CellId, pos: GridPos) -> bool {
+        let c = design.cell(cell);
+        let h_rows = i64::from(c.height_rows);
+        let x_lo = design.core.lo.x + pos.site * design.tech.site_width;
+        for row in pos.row..pos.row + h_rows {
+            let map = &self.row_cells[(row - self.win.lo_row) as usize];
+            debug_assert_eq!(map.get(&x_lo).map(|&(_, id)| id), Some(cell.0));
+            if let (Some((_, &(left_hi, left_cell))), Some((&right_lo, &(_, right_cell)))) =
+                (map.range(..x_lo).next_back(), map.range(x_lo + 1..).next())
+            {
+                let lc = design.cell(CellId(left_cell));
+                let rc = design.cell(CellId(right_cell));
+                let need = design.tech.edge_spacing(lc.edge_right, rc.edge_left);
+                if right_lo - left_hi < need {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Occupant of a pixel: `Some(cell)` for a movable cell, `None` when
+    /// free or blocked by a macro. Pixels outside the stored window read
+    /// as blocked.
+    pub fn occupant(&self, site: i64, row: i64) -> Option<CellId> {
+        if !self.win.contains_footprint(GridPos { site, row }, 1, 1) {
+            return None;
+        }
+        match self.occ[self.pix(site, row)] {
+            FREE | BLOCKED => None,
+            id => Some(CellId(id)),
+        }
+    }
+
+    /// `true` when a pixel holds neither a placed cell nor a macro.
+    pub fn is_free(&self, site: i64, row: i64) -> bool {
+        self.win.contains_footprint(GridPos { site, row }, 1, 1)
+            && self.occ[self.pix(site, row)] == FREE
+    }
+
+    /// Fraction of stored pixels that are free (diagnostic).
+    pub fn free_ratio(&self) -> f64 {
+        let free = self.occ.iter().filter(|&&o| o == FREE).count();
+        free as f64 / self.occ.len().max(1) as f64
     }
 }
 
@@ -1650,7 +1235,7 @@ mod tests {
     }
 
     #[test]
-    fn subgrid_check_place_matches_full_grid_inside_the_window() {
+    fn window_check_place_matches_full_grid_inside_the_window() {
         // Mixed occupancy, fences, edge spacing, and a window whose left
         // edge cuts through the middle of a word: every in-window probe
         // must answer exactly as the full grid.
@@ -1693,7 +1278,7 @@ mod tests {
     }
 
     #[test]
-    fn subgrid_place_blocks_subsequent_probes() {
+    fn window_place_blocks_subsequent_probes() {
         let mut b = builder();
         let a = b.add_cell("a", 2, 1, Point::new(0, 0));
         let c = b.add_cell("c", 2, 1, Point::new(0, 0));
@@ -1820,7 +1405,7 @@ mod tests {
     }
 
     #[test]
-    fn subgrid_block_scans_match_full_grid_on_wide_windows() {
+    fn window_block_scans_match_full_grid_on_wide_windows() {
         let (d, g) = wide_grid();
         // Windows cutting mid-word on both edges, wide enough to hold
         // full u64×4 blocks, plus a narrow one that never fills a block.

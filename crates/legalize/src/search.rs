@@ -19,7 +19,7 @@
 use rlleg_design::{CellId, Design, HotCells, RailParity};
 use rlleg_geom::{Dbu, Point};
 
-use crate::pixel::{GridPos, GridRead, GridWindow, PixelGrid};
+use crate::pixel::{GridPos, GridWindow, PixelGrid};
 
 /// Tuning knobs for [`find_position`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,7 +69,7 @@ impl CellShape {
 }
 
 /// Pixel-Manhattan search bound shared by both search implementations.
-fn search_bound(grid: &impl GridRead, cfg: SearchConfig, design: &Design, shape: CellShape) -> i64 {
+fn search_bound(grid: &PixelGrid, cfg: SearchConfig, design: &Design, shape: CellShape) -> i64 {
     let sw = design.tech.site_width;
     let CellShape {
         w_sites, h_rows, ..
@@ -91,11 +91,10 @@ fn search_bound(grid: &impl GridRead, cfg: SearchConfig, design: &Design, shape:
 /// global-placement position), with its physical displacement in dbu, or
 /// `None` when the search space holds no legal pixel.
 ///
-/// Generic over [`GridRead`]: the full [`PixelGrid`] and the window-scoped
-/// [`SubGrid`](crate::pixel::SubGrid) snapshot run the very same search
-/// (a `SubGrid` caller must restrict `cfg.window` to the snapshot window).
-pub fn find_position<G: GridRead>(
-    grid: &G,
+/// On a grid [`load`](PixelGrid::load)ed with one window, `cfg.window`
+/// must lie inside that window.
+pub fn find_position(
+    grid: &PixelGrid,
     design: &Design,
     cell: CellId,
     from: Point,
@@ -107,8 +106,8 @@ pub fn find_position<G: GridRead>(
 /// [`find_position`] with the cell's shape read from a [`HotCells`]
 /// snapshot instead of the `Cell` struct — the hot path for big runs.
 /// Bit-identical to `find_position` for a snapshot of the same design.
-pub fn find_position_hot<G: GridRead>(
-    grid: &G,
+pub fn find_position_hot(
+    grid: &PixelGrid,
     hot: &HotCells,
     design: &Design,
     cell: CellId,
@@ -118,8 +117,8 @@ pub fn find_position_hot<G: GridRead>(
     find_position_shaped(grid, design, cell, CellShape::of_hot(hot, cell), from, cfg)
 }
 
-fn find_position_shaped<G: GridRead>(
-    grid: &G,
+fn find_position_shaped(
+    grid: &PixelGrid,
     design: &Design,
     cell: CellId,
     shape: CellShape,

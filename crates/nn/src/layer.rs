@@ -79,6 +79,18 @@ impl Linear {
     ///
     /// Panics if called without a preceding [`forward`](Self::forward).
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_params(grad_out);
+        grad_out.matmul(&self.w)
+    }
+
+    /// [`backward`](Self::backward) without the input gradient: accumulates
+    /// `∂L/∂W` and `∂L/∂b` only, for a first layer whose `∂L/∂x` nobody
+    /// reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a preceding [`forward`](Self::forward).
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
         let x = self.cached_input.take().expect("backward without forward");
         // gw += grad_outᵀ · x   (out×in)
         let gw_step = grad_out.t_matmul(&x);
@@ -95,7 +107,6 @@ impl Linear {
                 *gb += g;
             }
         }
-        grad_out.matmul(&self.w)
     }
 
     /// Clears accumulated gradients.

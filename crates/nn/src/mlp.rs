@@ -79,14 +79,30 @@ impl Mlp {
 
     /// Backward pass; accumulates parameter gradients, returns `∂L/∂x`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = self
-            .linears
-            .last_mut()
-            .expect("nonempty")
-            .backward(grad_out);
+        match self.backward_upper(grad_out) {
+            Some(g) => self.linears[0].backward(&g),
+            None => self.linears[0].backward(grad_out),
+        }
+    }
+
+    /// [`backward`](Self::backward) for a network whose input gradient
+    /// nobody reads: accumulates the same parameter gradients and stops
+    /// there, skipping the first layer's `∂L/∂x` product.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        match self.backward_upper(grad_out) {
+            Some(g) => self.linears[0].backward_params(&g),
+            None => self.linears[0].backward_params(grad_out),
+        }
+    }
+
+    /// Backpropagates through every layer after the first, returning the
+    /// gradient at the first layer's output (`None` for a single layer,
+    /// where that is `grad_out` itself).
+    fn backward_upper(&mut self, grad_out: &Matrix) -> Option<Matrix> {
+        let mut g: Option<Matrix> = None;
         for i in (0..self.relus.len()).rev() {
-            g = self.relus[i].backward(&g);
-            g = self.linears[i].backward(&g);
+            let up = self.linears[i + 1].backward(g.as_ref().unwrap_or(grad_out));
+            g = Some(self.relus[i].backward(&up));
         }
         g
     }
@@ -202,6 +218,33 @@ mod tests {
                 "param {idx}: numeric {num} vs analytic {}",
                 analytic[idx]
             );
+        }
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_gradients() {
+        let x = Matrix::from_rows(&[&[0.5, -0.3, 0.8], &[-0.1, 0.9, 0.2], &[1.5, 0.0, -2.0]]);
+        for dims in [&[3, 6, 5, 2][..], &[3, 2][..]] {
+            let mut full = Mlp::new(dims, &mut rng());
+            let mut params_only = full.clone();
+            let y = full.forward(&x);
+            params_only.forward(&x);
+            let g = Matrix::from_vec(
+                y.rows(),
+                y.cols(),
+                (0..y.as_slice().len())
+                    .map(|i| 0.3 - i as f32 * 0.1)
+                    .collect(),
+            );
+            let _ = full.backward(&g);
+            params_only.backward_params(&g);
+            let bits = |m: &mut Mlp| {
+                m.grads_flat()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&mut full), bits(&mut params_only), "dims {dims:?}");
         }
     }
 

@@ -356,7 +356,8 @@ impl JobTable {
     /// Evicts delivered terminal entries, bounding the table: everything
     /// older than `ttl` goes, and at most `cap` delivered terminal entries
     /// are kept (oldest evicted first). Undelivered results are exempt —
-    /// they are drained to disk on shutdown, never silently dropped.
+    /// they stay in the table and the journal until someone collects them,
+    /// never silently dropped.
     /// Returns the number of entries evicted.
     pub fn reap_terminal(&self, now: Instant, ttl: Duration, cap: usize) -> usize {
         let mut jobs = relock(&self.jobs);
@@ -379,16 +380,6 @@ impl JobTable {
             }
         }
         evicted
-    }
-
-    /// Ids of every terminal job whose result was never delivered to a
-    /// subscriber (drained to disk on graceful shutdown).
-    pub fn undelivered_terminal(&self) -> Vec<JobId> {
-        relock(&self.jobs)
-            .iter()
-            .filter(|(_, e)| !e.delivered && matches!(e.state, state::DONE | state::FAILED))
-            .map(|(&id, _)| id)
-            .collect()
     }
 
     /// Snapshot of (queued, running, terminal) counts.
@@ -427,9 +418,7 @@ mod tests {
             },
         );
         assert_eq!(t.state_of(id), state::DONE);
-        assert_eq!(t.undelivered_terminal(), vec![id]);
-        t.with(id, |e| e.delivered = true);
-        assert!(t.undelivered_terminal().is_empty());
+        assert_eq!(t.with(id, |e| e.delivered), Some(false));
     }
 
     #[test]
@@ -608,6 +597,9 @@ mod tests {
             99,
             0,
         );
-        assert!(t.undelivered_terminal().contains(&3));
+        assert_eq!(
+            t.with(3, |e| (e.state, e.delivered)),
+            Some((state::DONE, false))
+        );
     }
 }

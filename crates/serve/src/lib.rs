@@ -29,9 +29,8 @@
 //!   `catch_unwind`, chaos kills fail the job and never the server, with
 //!   per-job deadlines and journalled bounded retries,
 //! - [`server`] — the event loop, WAL replay on startup, graceful drain
-//!   (undelivered results are persisted through
-//!   [`rlleg_design::fsio::write_atomic`]), slow-loris sweep, and the
-//!   HTTP routes,
+//!   (undelivered results stay in the journal for the next start),
+//!   slow-loris sweep, and the HTTP routes,
 //! - [`client`] — a blocking client for tests and tooling, with jittered
 //!   exponential [`client::Backoff`] that honors server retry hints,
 //! - [`loadgen`] — the three-phase load harness behind `BENCH_serve.json`

@@ -33,14 +33,11 @@ pub const HEADER_LEN: usize = 13;
 /// smaller cap; the codec never accepts more than this.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Spec encoding version inside SUBMIT payloads. Version 3 appends
-/// `deadline_ms`/`max_retries` after `job_key`; version 1 (without them)
-/// still decodes, defaulting both to 0. Version 2 was never shipped and
-/// stays a hard error (pinned by `proto_spec_version_skew.hex`).
+/// Spec encoding version inside SUBMIT payloads, the only one that
+/// decodes: version 3 carries `deadline_ms`/`max_retries` after `job_key`.
+/// Any other version is a hard error (version 2 is pinned by
+/// `proto_spec_version_skew.hex`).
 pub const SPEC_VERSION: u8 = 3;
-
-/// The legacy spec version still accepted on decode.
-pub const SPEC_VERSION_V1: u8 = 1;
 
 /// Why a submission was refused (payload of [`Frame::Rejected`]).
 pub mod reject {
@@ -392,9 +389,9 @@ fn encode_spec(out: &mut Vec<u8>, s: &JobSpec) {
 
 fn decode_spec(r: &mut Reader<'_>) -> Result<JobSpec, ProtoError> {
     let ver = r.u8()?;
-    if ver != SPEC_VERSION && ver != SPEC_VERSION_V1 {
+    if ver != SPEC_VERSION {
         return Err(ProtoError::Malformed(format!(
-            "job spec version {ver} (this build speaks {SPEC_VERSION} and legacy {SPEC_VERSION_V1})"
+            "job spec version {ver} (this build speaks {SPEC_VERSION})"
         )));
     }
     let kind = JobKind::from_u8(r.u8()?)?;
@@ -416,13 +413,8 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<JobSpec, ProtoError> {
     let max_steps = r.u64()?;
     let max_wall_ms = r.u64()?;
     let job_key = r.u64()?;
-    // v3 appends the durability fields here; a v1 spec has neither and
-    // decodes with both at their "disabled" defaults.
-    let (deadline_ms, max_retries) = if ver >= SPEC_VERSION {
-        (r.u64()?, r.u8()?)
-    } else {
-        (0, 0)
-    };
+    let deadline_ms = r.u64()?;
+    let max_retries = r.u8()?;
     Ok(JobSpec {
         kind,
         tech,
@@ -654,27 +646,6 @@ mod tests {
         }
     }
 
-    /// Encodes `s` with the legacy v1 layout (no durability fields).
-    fn encode_spec_v1(s: &JobSpec) -> Vec<u8> {
-        let mut out = vec![
-            SPEC_VERSION_V1,
-            s.kind as u8,
-            s.tech,
-            s.ordering,
-            s.threads,
-            s.flags,
-        ];
-        out.extend_from_slice(&s.hidden.to_le_bytes());
-        out.extend_from_slice(&s.episodes.to_le_bytes());
-        out.extend_from_slice(&s.seed.to_le_bytes());
-        out.extend_from_slice(&s.max_steps.to_le_bytes());
-        out.extend_from_slice(&s.max_wall_ms.to_le_bytes());
-        out.extend_from_slice(&s.job_key.to_le_bytes());
-        put_str(&mut out, &s.lef);
-        put_str(&mut out, &s.def);
-        out
-    }
-
     /// Wraps a raw SUBMIT payload in a sealed frame.
     fn frame_submit_payload(payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -752,36 +723,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_spec_decodes_with_durability_defaults() {
-        let sent = sample_spec();
-        let bytes = frame_submit_payload(&encode_spec_v1(&sent));
-        let (frame, _) = decode_frame(&bytes, MAX_FRAME).expect("v1 decodes");
-        let Frame::Submit(got) = frame else {
-            panic!("not a submit");
-        };
-        assert_eq!(got.deadline_ms, 0, "v1 has no deadline");
-        assert_eq!(got.max_retries, 0, "v1 has no retry budget");
-        assert_eq!(
-            got,
-            JobSpec {
-                deadline_ms: 0,
-                max_retries: 0,
-                ..sent
-            }
-        );
-    }
-
-    #[test]
-    fn spec_version_2_stays_malformed() {
-        // Version 2 was never shipped; the corpus pins it as a hard error
-        // and a v3 decoder must not resurrect it.
-        let mut payload = encode_spec_v1(&sample_spec());
-        payload[0] = 2;
-        let bytes = frame_submit_payload(&payload);
-        assert!(matches!(
-            decode_frame(&bytes, MAX_FRAME).unwrap_err(),
-            ProtoError::Malformed(_)
-        ));
+    fn spec_versions_other_than_3_are_malformed() {
+        // Version 1 is retired, 2 was never shipped (the corpus pins it),
+        // and 4 does not exist yet: all are hard errors.
+        for ver in [1u8, 2, 4] {
+            let mut payload = encode_spec_bytes(&sample_spec());
+            payload[0] = ver;
+            let bytes = frame_submit_payload(&payload);
+            assert!(
+                matches!(
+                    decode_frame(&bytes, MAX_FRAME).unwrap_err(),
+                    ProtoError::Malformed(_)
+                ),
+                "version {ver}"
+            );
+        }
     }
 
     #[test]

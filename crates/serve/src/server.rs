@@ -16,10 +16,9 @@
 //! The loop never blocks on a socket and never spawns a thread: readiness
 //! comes from [`crate::poll::wait`], compute happens on the executor set
 //! created at startup. Graceful shutdown closes the queue, lets queued and
-//! running jobs finish, streams their results to subscribers, and writes
-//! any undelivered result to `data_dir` through
-//! [`rlleg_design::fsio::write_atomic`] so nothing a client paid for is
-//! lost.
+//! running jobs finish, and streams their results to subscribers. A result
+//! nobody collected stays live in the write-ahead journal, so a restart on
+//! the same `data_dir` serves it, exactly as after a crash.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -27,8 +26,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use rlleg_design::fsio::write_atomic;
 
 use crate::admission::{self, Admission, Verdict};
 use crate::conn::{Conn, Mode};
@@ -61,7 +58,8 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Poll tick — the latency floor for progress delivery and sweeps.
     pub tick: Duration,
-    /// Checkpoint stores and shutdown-drained results live here.
+    /// The write-ahead journal (which keeps undelivered results across
+    /// restarts) and the checkpoint stores live here.
     pub data_dir: PathBuf,
     /// Honor chaos-injection flags in job specs (tests/harness only).
     pub chaos_enabled: bool,
@@ -699,35 +697,10 @@ impl EventLoop {
             .all(|c| c.subscriptions.is_empty() && c.outbuf.is_empty())
     }
 
-    /// Post-loop teardown: persist undelivered results, flush, join.
+    /// Post-loop teardown: flush, join. Undelivered results need no
+    /// persisting here: their DONE/FAILED records are already in the
+    /// journal, and a restart serves them.
     fn drain(&mut self, executors: Executors) {
-        for id in self.table.undelivered_terminal() {
-            let Some((def, stats)) = self.table.with(id, |e| {
-                e.delivered = true;
-                let o = e.outcome.clone();
-                (
-                    o.as_ref().map(|o| o.def.clone()).unwrap_or_default(),
-                    o.map(|o| o.stats).unwrap_or_else(|| {
-                        format!("{{\"error\":{:?}}}", e.error.clone().unwrap_or_default())
-                    }),
-                )
-            }) else {
-                continue;
-            };
-            if !def.is_empty() {
-                let _ = write_atomic(
-                    &self.cfg.data_dir.join(format!("job-{id}.def")),
-                    def.as_bytes(),
-                );
-            }
-            let _ = write_atomic(
-                &self.cfg.data_dir.join(format!("job-{id}.stats.json")),
-                stats.as_bytes(),
-            );
-            // The atomic persist above is the delivery; journal it so a
-            // restart does not serve (or re-run) the job again.
-            self.wal.append_delivered(id);
-        }
         // Best-effort flush of anything still buffered, bounded in time.
         let deadline = Instant::now() + Duration::from_secs(2);
         while Instant::now() < deadline && self.conns.iter().any(|c| !c.outbuf.is_empty()) {
@@ -866,7 +839,7 @@ impl EventLoop {
                 if matches!(e.state, state::FAILED | state::CANCELLED) {
                     // No DEF will ever exist; the status answer is the
                     // whole result. DONE stays undelivered until the def
-                    // itself is fetched (or shutdown persists it).
+                    // itself is fetched, across restarts if need be.
                     e.delivered = true;
                 }
                 (e.outcome.as_ref().map(|o| o.stats.clone()), e.error.clone())

@@ -425,20 +425,46 @@ fn graceful_shutdown_persists_undelivered_results() {
     // Walk away without collecting the result, then drain the server.
     drop(client);
     handle.shutdown_graceful();
-    let def_path = dir.join(format!("job-{job}.def"));
-    let stats_path = dir.join(format!("job-{job}.stats.json"));
+    // The journal is the one persistence path: the drain writes nothing
+    // beside it.
+    let side_files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("data dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("job-"))
+        .collect();
     assert!(
-        def_path.exists(),
-        "undelivered result must be persisted on drain"
+        side_files.is_empty(),
+        "drain wrote side files: {side_files:?}"
     );
-    assert!(stats_path.exists(), "stats must be persisted on drain");
-    let model = std::fs::read_to_string(&def_path).expect("read drained result");
+    let restart = || {
+        Server::start(ServeConfig {
+            data_dir: dir.clone(),
+            ..ServeConfig::default()
+        })
+        .expect("restart server")
+    };
+    // A restart on the same directory serves the result from the journal.
+    let handle = restart();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    assert_eq!(client.query(job, TIMEOUT).expect("query"), state::DONE);
+    let result = client.wait_result(job, TIMEOUT).expect("re-served result");
     assert!(
-        !model.is_empty(),
-        "drained training result must carry the model"
+        !result.def.is_empty(),
+        "re-served training result must carry the model"
     );
-    let stats = std::fs::read_to_string(&stats_path).expect("read drained stats");
-    assert!(stats.contains("\"episodes\":10"), "stats: {stats}");
+    assert!(
+        result.stats.contains("\"episodes\":10"),
+        "stats: {}",
+        result.stats
+    );
+    drop(client);
+    handle.shutdown_graceful();
+    // The delivery was journalled, so the next restart has forgotten it.
+    let handle = restart();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    assert_eq!(client.query(job, TIMEOUT).expect("query"), state::UNKNOWN);
+    drop(client);
+    handle.shutdown_graceful();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

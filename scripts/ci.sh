@@ -63,6 +63,13 @@ cargo run -q --release -p rlleg-serve -- --smoke
 echo "==> protocol fuzz smoke: rlleg-fuzz --iters 100 --seed 1 --only proto"
 cargo run -q --release -p rlleg-fuzz -- --iters 100 --seed 1 --only proto
 
+# Fixed-seed grid fuzz smoke: 200 iterations of the grid oracle alone
+# (random place/remove/check/search op sequences against the per-pixel
+# reference, and window-restricted searches on a loaded Gcell window
+# against the full grid). Deterministic; well under a second in release.
+echo "==> grid fuzz smoke: rlleg-fuzz --iters 200 --seed 1 --only grid"
+cargo run -q --release -p rlleg-fuzz -- --iters 200 --seed 1 --only grid
+
 # Fixed-seed fault-injection smoke: 200 iterations of the fault oracle
 # alone (solver panics, corrupted checkpoints, NaN weights, inference
 # stalls). Every injected fault must end in a completed run — a process
