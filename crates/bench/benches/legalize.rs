@@ -320,7 +320,7 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// Training throughput: the asynchronous pool-scheduled trainer (batched
+/// Training throughput: the asynchronous concurrent-agent trainer (batched
 /// policy forwards across Gcells, lock-free parameter snapshots) vs the
 /// deterministic round-robin `Trainer` on the same 10k-cell design and
 /// config. Both run `agents × episodes` full episodes, so mean time per

@@ -6,6 +6,7 @@
 //! CLI-flag parser, and JSON report output.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::Instant;
 

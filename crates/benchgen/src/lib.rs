@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod generate;
 pub mod placement;

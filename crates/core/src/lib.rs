@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod checkpoint;
 mod config;

@@ -15,13 +15,13 @@
 //! it with the per-episode bookkeeping. A driver is a Gcell grouping plus a
 //! choice about concurrency:
 //!
-//! - [`train`] runs its agents concurrently as jobs on the
-//!   [`rlleg_legalize::pool`] worker pool, each on its own environments,
-//!   and passes all of an episode's Gcells as one group. Global parameters
-//!   live in a [`ParamStore`] — a versioned, double-buffered seqlock:
-//!   gradient applications stay serialized (Adam moments are sequential)
-//!   but agents syncing `θ' ← θ` copy the active buffer lock-free, so a
-//!   slow reader never stalls a writer and vice versa.
+//! - [`train`] runs its agents concurrently on scoped threads, each on
+//!   its own environments, and passes all of an episode's Gcells as one
+//!   group. Global parameters live in a [`ParamStore`] — a versioned,
+//!   double-buffered seqlock: gradient applications stay serialized (Adam
+//!   moments are sequential) but agents syncing `θ' ← θ` copy the active
+//!   buffer lock-free, so a slow reader never stalls a writer and vice
+//!   versa.
 //! - [`Trainer`] runs its agents one after another and passes Gcells one
 //!   at a time, which makes a run a pure function of its inputs and
 //!   checkpointable.
@@ -632,9 +632,11 @@ impl Agent {
 
 /// Trains the cell-wise network on `designs` with `cfg.agents` asynchronous
 /// agents (Algorithm 1). Agents cycle through the designs round-robin, one
-/// design per episode, run concurrently on the shared
-/// [`rlleg_legalize::pool`] worker pool on their own environments, and
-/// advance all Gcells of an episode in lockstep.
+/// design per episode, run concurrently on their own environments, and
+/// advance all Gcells of an episode in lockstep. They run on
+/// `min(agents, default_threads())` scoped threads
+/// ([`rlleg_legalize::pool::default_threads`]); each thread takes the next
+/// agent in index order and runs all of its episodes before taking another.
 ///
 /// # Panics
 ///
@@ -642,12 +644,15 @@ impl Agent {
 /// `cfg.batch_size == 0`.
 pub fn train(designs: &[Design], cfg: &RlConfig) -> TrainResult {
     let mut trainer = Trainer::without_envs(designs, cfg);
-    let pool =
-        rlleg_legalize::pool::with_workers(cfg.agents.min(rlleg_legalize::pool::default_threads()));
     let shared = &trainer.shared;
-    pool.scope(|scope| {
-        for agent in &mut trainer.agents {
-            scope.spawn(move || {
+    let agents = Mutex::new(trainer.agents.iter_mut());
+    let threads = cfg.agents.min(rlleg_legalize::pool::default_threads());
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                // Bind first: the guard must not live through the episodes.
+                let next = agents.lock().next();
+                let Some(agent) = next else { break };
                 let mut envs = build_envs(designs, cfg);
                 for episode in 0..cfg.episodes {
                     agent.run_episode(&mut envs, shared, cfg, episode, true);

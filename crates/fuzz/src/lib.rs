@@ -52,6 +52,7 @@
 //! `tests/corpus.rs`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod oracle_fault;
 pub mod oracle_gplace;

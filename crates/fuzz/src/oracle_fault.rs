@@ -63,9 +63,14 @@ fn fail(sc: &Scenario, msg: String, failures: &mut Vec<Failure>) {
 }
 
 /// Runs `f` with panic traces suppressed: the injected panics are expected
-/// and would otherwise drown the fuzz log. The fault guard held by every
-/// caller already serializes this process-global hook swap.
+/// and would otherwise drown the fuzz log. The panic hook is process-global
+/// while fault plans are per thread, so concurrent callers (test threads)
+/// take turns here; otherwise one could restore another's quiet hook.
 fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
+    static SWAP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = SWAP
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let out = f();

@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod point;
 mod rect;

@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod netmodel;
 pub mod spread;

@@ -4,26 +4,28 @@
 //! quarantined, a stalled inference step trips the watchdog) — but proving
 //! that requires *causing* faults on demand, deterministically, without
 //! `#[cfg(test)]`-only seams that the release fuzz harness cannot reach.
-//! This module is that seam: a process-global [`FaultPlan`] armed through
-//! [`arm`] and consulted from the hot paths through near-free probes
-//! ([`panic_if_planned`], [`infer_stall`]).
+//! This module is that seam: a [`FaultPlan`] armed through [`arm`] and read
+//! back by the hot paths ([`plan`], [`infer_stall`]).
 //!
-//! The disarmed fast path is a single relaxed atomic load; arming takes a
-//! process-wide lock held by the returned [`FaultGuard`], so concurrent
-//! tests that inject faults serialize instead of trampling each other's
-//! plans. Faults are keyed by *logical* indices (Gcell index, inference
-//! step), never by thread or wall clock, so an injected run is exactly as
-//! deterministic as a fault-free one.
+//! A plan is thread-scoped: [`arm`] keeps it in a thread-local for the
+//! lifetime of the returned [`FaultGuard`], so only the arming thread sees
+//! it, and a test that injects faults never reaches runs on other threads.
+//! Code that fans work out reads the plan once on the calling thread and
+//! hands it to its helpers: `Legalizer::run_gcells_parallel` passes
+//! [`FaultPlan::panic_at_gcell`] into its scoped workers. The disarmed
+//! probe is one thread-local read. Faults are keyed by *logical* indices
+//! (Gcell index, inference step), never by thread or wall clock, so an
+//! injected run is exactly as deterministic as a fault-free one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::time::Duration;
 
 /// Which faults to inject, and where.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultPlan {
     /// Panic inside the phase-1 solve of this Gcell index (every solve of
-    /// that Gcell panics while armed, whatever thread runs it).
+    /// that Gcell panics while armed, whatever worker thread runs it).
     pub panic_at_gcell: Option<usize>,
     /// Sleep this long inside every RL-inference step with index `>= from`
     /// (simulates a pathologically slow solve for watchdog tests).
@@ -39,77 +41,49 @@ pub struct InferStall {
     pub sleep: Duration,
 }
 
-/// Armed-plan fast path: checked before taking any lock.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static Mutex<FaultPlan> {
-    static PLAN: OnceLock<Mutex<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| Mutex::new(FaultPlan::default()))
+thread_local! {
+    /// The calling thread's armed plan; all `None` while disarmed.
+    static PLAN: Cell<FaultPlan> = const {
+        Cell::new(FaultPlan {
+            panic_at_gcell: None,
+            infer_stall: None,
+        })
+    };
 }
 
-/// Serializes arm/disarm across threads (tests injecting faults must not
-/// observe each other's plans).
-fn arm_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Fault tests panic on purpose; a poisoned plan lock is expected, and
-    // the data (a Copy plan) cannot be left torn.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Keeps the plan armed; disarms on drop. Holding it also excludes every
-/// other would-be armer, so fault tests serialize process-wide.
+/// Keeps a plan armed on the thread that called [`arm`], and restores that
+/// thread's previous plan on drop. Not `Send`: it must drop on the thread
+/// whose plan it holds.
 pub struct FaultGuard {
-    _excl: MutexGuard<'static, ()>,
+    prev: FaultPlan,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        *lock_ignore_poison(plan_slot()) = FaultPlan::default();
+        PLAN.with(|p| p.set(self.prev));
     }
 }
 
-/// Arms `plan` process-wide until the returned guard drops. Blocks while
-/// another guard is alive.
+/// Arms `plan` on the calling thread until the returned guard drops.
 pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let excl = lock_ignore_poison(arm_lock());
-    *lock_ignore_poison(plan_slot()) = plan;
-    ARMED.store(true, Ordering::SeqCst);
-    FaultGuard { _excl: excl }
+    FaultGuard {
+        prev: PLAN.with(|p| p.replace(plan)),
+        _thread: PhantomData,
+    }
 }
 
-/// `true` while a plan is armed (single relaxed load; the production fast
-/// path).
+/// The plan armed on the calling thread (all `None` when disarmed).
 #[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Probe called from the per-Gcell solve: panics when the armed plan
-/// targets `gcell`.
-#[inline]
-pub fn panic_if_planned(gcell: usize) {
-    if !armed() {
-        return;
-    }
-    let target = lock_ignore_poison(plan_slot()).panic_at_gcell;
-    if target == Some(gcell) {
-        panic!("injected fault: gcell {gcell} solve panic");
-    }
+pub fn plan() -> FaultPlan {
+    PLAN.with(Cell::get)
 }
 
 /// Probe called from the RL-inference loop: returns how long step `step`
-/// should stall, if the armed plan says so.
+/// should stall, if the calling thread's plan says so.
 #[inline]
 pub fn infer_stall(step: u64) -> Option<Duration> {
-    if !armed() {
-        return None;
-    }
-    lock_ignore_poison(plan_slot())
+    plan()
         .infer_stall
         .filter(|s| step >= s.from_step)
         .map(|s| s.sleep)
@@ -121,16 +95,12 @@ mod tests {
 
     #[test]
     fn disarmed_probes_are_inert() {
-        // Hold the armers' exclusion, or a fault test on another thread
-        // may arm a plan mid-check.
-        let _excl = lock_ignore_poison(arm_lock());
-        assert!(!armed());
-        panic_if_planned(0);
+        assert_eq!(plan().panic_at_gcell, None);
         assert_eq!(infer_stall(0), None);
     }
 
     #[test]
-    fn armed_plan_fires_and_disarms_on_drop() {
+    fn armed_plan_is_thread_scoped_and_restored_on_drop() {
         let guard = arm(FaultPlan {
             panic_at_gcell: Some(3),
             infer_stall: Some(InferStall {
@@ -138,14 +108,24 @@ mod tests {
                 sleep: Duration::from_millis(1),
             }),
         });
-        assert!(armed());
-        panic_if_planned(2); // not the target: no panic
+        assert_eq!(plan().panic_at_gcell, Some(3));
         assert_eq!(infer_stall(1), None);
         assert_eq!(infer_stall(2), Some(Duration::from_millis(1)));
-        let hit = std::panic::catch_unwind(|| panic_if_planned(3));
-        assert!(hit.is_err(), "planned gcell must panic");
+        let elsewhere = std::thread::spawn(|| (plan().panic_at_gcell, infer_stall(5)))
+            .join()
+            .expect("probe thread");
+        assert_eq!(elsewhere, (None, None), "other threads stay disarmed");
+        {
+            let _inner = arm(FaultPlan {
+                panic_at_gcell: Some(7),
+                ..FaultPlan::default()
+            });
+            assert_eq!(plan().panic_at_gcell, Some(7));
+            assert_eq!(infer_stall(2), None);
+        }
+        assert_eq!(plan().panic_at_gcell, Some(3), "outer plan restored");
         drop(guard);
-        assert!(!armed());
-        panic_if_planned(3); // inert again
+        assert_eq!(plan().panic_at_gcell, None);
+        assert_eq!(infer_stall(9), None);
     }
 }

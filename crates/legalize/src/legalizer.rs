@@ -16,14 +16,6 @@ use crate::pixel::{GridPos, PixelGrid};
 use crate::sched::{StealQueues, TileSchedule};
 use crate::search::{find_position_hot, SearchConfig};
 
-std::thread_local! {
-    /// Per-thread window grid for Gcell solves: each pool worker (and the
-    /// calling thread) reuses one grid's buffers across Gcells and across
-    /// `run_gcells_parallel` calls instead of reallocating.
-    static GCELL_SCRATCH: std::cell::RefCell<PixelGrid> =
-        std::cell::RefCell::new(PixelGrid::default());
-}
-
 /// Outcome of one Gcell-local solve: committed `(cell, pos)` pairs in
 /// order, plus the cells that found no window-local position.
 type GcellSolve = (Vec<(CellId, GridPos)>, Vec<CellId>);
@@ -216,25 +208,27 @@ impl Legalizer {
     }
 
     /// Legalizes the design Gcell by Gcell with the subepisodes solved in
-    /// parallel on `threads` workers from the persistent
-    /// [`pool`](crate::pool) (`0` = one per available core, `1` = the
-    /// sequential fallback; the calling thread always works too, so only
-    /// `threads - 1` pool workers are engaged).
+    /// parallel on `threads` workers (`0` =
+    /// [`default_threads`](crate::pool::default_threads), `1` = the
+    /// sequential fallback). Worker count is capped at the number of
+    /// coarse tiles; the calling thread is worker 0, and the other
+    /// workers are `std::thread::scope` threads started for this call.
     ///
     /// Phase 1 solves every Gcell independently and **clone-free**: the
     /// design is never mutated during the solve (cell order and search
     /// starts read only immutable fields), and instead of cloning the
-    /// whole grid each worker [`load`](PixelGrid::load)s its thread-local
-    /// window grid with just the Gcell's disjoint site/row window
+    /// whole grid each worker [`load`](PixelGrid::load)s its own window
+    /// grid with just the Gcell's disjoint site/row window
     /// ([`GcellGrid::window_of`]) — occupancy words, occupant block, and
     /// the edge-spacing halo of the row index. Searches are restricted to
-    /// the window, and the scratch answers them exactly as the full grid
-    /// would, so workers never observe each other and the per-Gcell
+    /// the window, and the window grid answers them exactly as the full
+    /// grid would, so workers never observe each other and the per-Gcell
     /// outcome cannot depend on thread scheduling. Work is handed out as
     /// coarse 2×2 [`TileSchedule`] tiles on per-worker stealing deques
     /// ([`StealQueues`]), so workers stay in one region of the die and a
     /// drained worker steals whole tiles instead of idling; stealing only
     /// moves *where* a tile is solved, never what its solve produces.
+    /// Each worker hands its `(gcell, solve)` results back when it joins.
     ///
     /// Phase 2 merges the recorded placements sequentially in the fixed
     /// [`TileSchedule::merge_order`] (tiles ascending, tile-local
@@ -274,13 +268,18 @@ impl Legalizer {
         .min(tiles.len());
 
         // Phase 1: window-restricted, snapshot-isolated per-Gcell solves
-        // on per-worker scratch windows, scheduled as coarse tiles.
+        // on per-worker window grids, scheduled as coarse tiles.
         let base_grid = &self.grid;
         let search = self.search;
         let design_ro: &Design = design;
         let hot = &self.hot;
+        // The fault plan is thread-scoped: read the caller's here so every
+        // worker injects the same faults.
+        let panic_at = crate::fault::plan().panic_at_gcell;
         let solve = |scratch: &mut PixelGrid, g: usize| -> GcellSolve {
-            crate::fault::panic_if_planned(g);
+            if panic_at == Some(g) {
+                panic!("injected fault: gcell {g} solve panic");
+            }
             let order = ordering.order_hot(design_ro, hot, Some(gcells.cells_of(g)));
             if order.is_empty() {
                 return (Vec::new(), Vec::new());
@@ -315,68 +314,50 @@ impl Legalizer {
             (placed, failed)
         };
 
-        // `Err(())` marks a quarantined Gcell: its solve panicked. The
-        // panic is contained here — [`PixelGrid::load`] fully reinitializes
-        // the scratch, so the next Gcell on the same worker is unaffected,
-        // and the merge phase retries the Gcell's cells on the sequential
-        // size-ordered fallback path instead of aborting the run.
-        let results: Vec<std::sync::Mutex<Option<Result<GcellSolve, ()>>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+        // Each worker claims coarse tiles from its stealing deque and
+        // solves their Gcells on one window grid. `Err(())` marks a
+        // quarantined Gcell: its solve panicked. The panic is contained
+        // here — [`PixelGrid::load`] fully reinitializes the window grid,
+        // so the worker's next Gcell is unaffected, and the merge phase
+        // retries the Gcell's cells on the sequential size-ordered
+        // fallback path instead of aborting the run.
         let queues = StealQueues::seed(tiles.len(), threads);
-        let gcells_done: Vec<std::sync::atomic::AtomicI64> = (0..threads)
-            .map(|_| std::sync::atomic::AtomicI64::new(0))
-            .collect();
-        {
-            // Claim coarse tiles from this worker's stealing deque and
-            // solve each tile's Gcells on this thread's scratch.
-            let worker_loop = |w: usize| {
-                GCELL_SCRATCH.with(|s| {
-                    let mut scratch = s.borrow_mut();
-                    let mut done = 0i64;
-                    while let Some(t) = queues.next(w) {
-                        for &g in tiles.gcells(t) {
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    solve(&mut scratch, g)
-                                }))
-                                .map_err(drop);
-                            *results[g]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-                            done += 1;
-                        }
-                    }
-                    gcells_done[w].store(done, std::sync::atomic::Ordering::Relaxed);
-                })
-            };
-            if threads <= 1 {
-                worker_loop(0);
-            } else {
-                let pool = crate::pool::global();
-                pool.ensure_workers(threads - 1);
-                pool.scope(|s| {
-                    for w in 1..threads {
-                        let worker_loop = &worker_loop;
-                        s.spawn(move || worker_loop(w));
-                    }
-                    // The calling thread is worker 0; on few-core hosts
-                    // this is what keeps the pool from being pure
-                    // overhead.
-                    worker_loop(0);
-                });
+        let worker = |w: usize| {
+            let mut scratch = PixelGrid::default();
+            let mut out: Vec<(usize, Result<GcellSolve, ()>)> = Vec::new();
+            while let Some(t) = queues.next(w) {
+                for &g in tiles.gcells(t) {
+                    let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        solve(&mut scratch, g)
+                    }));
+                    out.push((g, solved.map_err(drop)));
+                }
             }
-        }
+            out
+        };
+        let per_worker: Vec<_> = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|w| s.spawn(move || worker(w))).collect();
+            let mut all = vec![worker(0)];
+            for h in helpers {
+                all.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            all
+        });
         if !telemetry::disabled() {
             let mut lo = i64::MAX;
             let mut hi = 0i64;
-            for (w, done) in gcells_done.iter().enumerate() {
-                let done = done.load(std::sync::atomic::Ordering::Relaxed);
+            for (w, out) in per_worker.iter().enumerate() {
+                let done = out.len() as i64;
                 telemetry::gauge(&format!("legalize.parallel.worker{w}.gcells")).set(done);
                 lo = lo.min(done);
                 hi = hi.max(done);
             }
             telemetry::counter("legalize.steal.count").add(queues.steals());
             telemetry::gauge("legalize.tile.imbalance").set(hi - lo);
+        }
+        let mut results: Vec<Option<Result<GcellSolve, ()>>> = (0..n).map(|_| None).collect();
+        for (g, solved) in per_worker.into_iter().flatten() {
+            results[g] = Some(solved);
         }
 
         // Phase 2: deterministic sequential merge, coarse tile by coarse
@@ -389,11 +370,7 @@ impl Legalizer {
         let sw = design.tech.site_width;
         let halo_sites = (design.tech.max_edge_spacing() + sw - 1).div_euclid(sw);
         for g in tiles.merge_order() {
-            let solved = results[g]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-                .expect("every gcell solved");
+            let solved = results[g].take().expect("every gcell solved");
             let (placed, failed) = match solved {
                 Ok(out) => out,
                 Err(()) => {
@@ -1167,6 +1144,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_fault_armed_on_another_thread_never_reaches_this_run() {
+        use crate::fault::{arm, FaultPlan};
+        use std::sync::Barrier;
+        let d0 = dense_design(60, 7);
+        let g = GcellGrid::new(&d0, 4, 4);
+        assert!(TileSchedule::new(&g).len() > 1, "needs a multi-tile grid");
+        let target = (0..g.len())
+            .find(|&i| !g.cells_of(i).is_empty())
+            .expect("a populated gcell");
+        let (armed, finished) = (Barrier::new(2), Barrier::new(2));
+        let stats = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = arm(FaultPlan {
+                    panic_at_gcell: Some(target),
+                    ..FaultPlan::default()
+                });
+                armed.wait();
+                // Keep the plan armed until the other run is over.
+                finished.wait();
+            });
+            armed.wait();
+            let mut d = d0.clone();
+            let stats =
+                Legalizer::new(&d).run_gcells_parallel(&mut d, &Ordering::SizeDescending, &g, 2);
+            finished.wait();
+            stats
+        });
+        assert!(
+            stats.quarantined.is_empty(),
+            "another thread's plan quarantined {:?}",
+            stats.quarantined
+        );
+        assert!(stats.is_complete(), "failed: {:?}", stats.failed);
     }
 
     #[test]

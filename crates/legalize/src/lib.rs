@@ -16,11 +16,12 @@
 //! - [`TetrisLegalizer`] — a greedy row-packing alternative backend (the
 //!   paper: "our framework can be applied to any sequential legalization
 //!   algorithms"),
-//! - [`pool::WorkerPool`] — the persistent worker pool amortizing thread
-//!   startup across `run_gcells_parallel` calls,
 //! - [`sched::TileSchedule`] / [`sched::StealQueues`] — the two-level
 //!   coarse-tile → fine-Gcell schedule with per-worker stealing deques
-//!   that feeds the pool deterministically,
+//!   that feeds `run_gcells_parallel`'s scoped worker threads
+//!   deterministically,
+//! - [`pool`] — the worker-thread count behind every "0 = default"
+//!   thread knob (`RLLEG_THREADS`),
 //! - [`GcellGrid`] / [`BinGrid`] — subepisode partitioning (Sec. III-E-1),
 //! - [`FeatureSpace`] — incremental maintenance of the Table-I features.
 //!
@@ -43,6 +44,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod features;
@@ -61,7 +63,6 @@ pub use gcell::{BinGrid, GcellGrid};
 pub use legalizer::{Legalizer, PlaceCellError, RunStats};
 pub use order::Ordering;
 pub use pixel::{GridPos, GridWindow, PixelGrid, PlaceRejection};
-pub use pool::WorkerPool;
 pub use sched::{StealQueues, TileSchedule};
 pub use search::{find_position, find_position_hot, find_position_reference, SearchConfig};
 pub use tetris::TetrisLegalizer;

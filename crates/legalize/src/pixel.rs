@@ -9,10 +9,10 @@
 //! On top of the per-pixel occupant array the grid keeps per-row `u64`
 //! occupancy bitmaps (LSB = lowest site index, padding bits beyond the core
 //! read as occupied). A `w_sites × h_rows` candidate window is tested by
-//! OR-ing the row words and masking, and [`for_each_free_span`]
-//! (PixelGrid::for_each_free_span) enumerates maximal free runs with
-//! `trailing_zeros`, so searches skip whole blocked stretches instead of
-//! probing pixel-by-pixel (see DESIGN.md §9).
+//! OR-ing the row words and masking, and
+//! [`for_each_free_span`](PixelGrid::for_each_free_span) enumerates maximal
+//! free runs with `trailing_zeros`, so searches skip whole blocked
+//! stretches instead of probing pixel-by-pixel (see DESIGN.md §9).
 //!
 //! A grid stores either the whole die or one Gcell window of it
 //! ([`PixelGrid::load`]); both answer in full-die coordinates, so the
@@ -1013,7 +1013,7 @@ mod tests {
     fn vacate_safe_sees_the_adjacency_a_removal_would_create() {
         // a |x| b packed tight: x's default edges need no gap on either
         // side, but a and b (type-2 edges, 2-site mutual spacing) rely on
-        // x's body to stay apart. Lifting x must be flagged as unsafe.
+        // x's body to stay apart. Lifting x must be flagged as not safe.
         let mut b = builder();
         let a = b.add_cell("a", 2, 1, Point::new(0, 0));
         let x = b.add_cell("x", 1, 1, Point::new(0, 0));

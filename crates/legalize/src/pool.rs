@@ -1,259 +1,16 @@
-//! A persistent worker pool for repeated parallel legalization calls.
+//! Worker-thread counts.
 //!
-//! `crossbeam::thread::scope` spawns and joins OS threads on every call,
-//! which dwarfs the work of a single `run_gcells_parallel` invocation when
-//! the bench loop or the trainer's subepisodes call it thousands of times.
-//! [`WorkerPool`] keeps detached daemon threads parked on a condvar and
-//! hands them lifetime-erased jobs; [`WorkerPool::scope`] provides the same
-//! borrow-the-stack ergonomics as a scoped spawn by blocking until every
-//! job spawned inside it has finished (rayon-style), so jobs may freely
-//! borrow from the caller's stack frame.
-//!
-//! Workers are spawned lazily and never torn down: an idle pool costs one
-//! parked thread per worker and zero CPU. Panics inside jobs are caught,
-//! carried back, and re-raised on the scope caller's thread once all
-//! outstanding jobs have drained, so a panicking job can never unwind past
-//! borrowed state while siblings still run.
+//! The workspace parallelises in two places, the per-Gcell solves of
+//! [`Legalizer::run_gcells_parallel`](crate::Legalizer::run_gcells_parallel)
+//! and the agents of `rl_legalizer::train`, and both start
+//! `std::thread::scope` threads per call. This module only decides how
+//! many: every "0 = default" thread knob resolves through
+//! [`default_threads`].
 
-use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-
-/// Locks `m`, recovering the data from a poisoned mutex instead of
-/// propagating the poison.
-///
-/// Every value behind the pool's mutexes (a job queue, a pending counter, a
-/// panic payload slot) is updated in a single statement and can never be
-/// observed torn, so a panic that poisons one of them leaves the data
-/// valid. Propagating the poison instead would wedge the *process-global*
-/// pool for every later caller — one panicking job must never take the
-/// whole pool down (see `panicked_job_does_not_wedge_global_pool`).
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A lifetime-erased unit of work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared pool state: the job queue and its wakeup.
-struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
-}
-
-/// Per-scope completion state: outstanding job count and the first panic.
-struct ScopeState {
-    pending: Mutex<usize>,
-    all_done: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        Self {
-            pending: Mutex::new(0),
-            all_done: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn inc(&self) {
-        *lock_ignore_poison(&self.pending) += 1;
-    }
-
-    fn dec_and_notify(&self) {
-        let mut p = lock_ignore_poison(&self.pending);
-        *p -= 1;
-        if *p == 0 {
-            self.all_done.notify_all();
-        }
-    }
-
-    fn wait_all(&self) {
-        let mut p = lock_ignore_poison(&self.pending);
-        while *p > 0 {
-            p = self
-                .all_done
-                .wait(p)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-/// A persistent pool of detached worker threads executing submitted jobs.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    /// Worker threads spawned so far (only ever grows).
-    spawned: AtomicUsize,
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkerPool {
-    /// Creates an empty pool; workers are added by
-    /// [`ensure_workers`](Self::ensure_workers).
-    pub fn new() -> Self {
-        Self {
-            shared: Arc::new(Shared {
-                queue: Mutex::new(VecDeque::new()),
-                job_ready: Condvar::new(),
-            }),
-            spawned: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of worker threads currently alive.
-    pub fn workers(&self) -> usize {
-        self.spawned.load(Ordering::Relaxed)
-    }
-
-    /// Grows the pool to at least `n` worker threads (never shrinks).
-    /// Threads are detached daemons that park on the queue when idle.
-    pub fn ensure_workers(&self, n: usize) {
-        loop {
-            let have = self.spawned.load(Ordering::Relaxed);
-            if have >= n {
-                return;
-            }
-            if self
-                .spawned
-                .compare_exchange(have, have + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            let shared = Arc::clone(&self.shared);
-            std::thread::Builder::new()
-                .name(format!("rlleg-pool-{have}"))
-                .spawn(move || worker_main(&shared))
-                .expect("spawning pool worker");
-        }
-    }
-
-    /// Runs `f` with a [`Scope`] whose spawned jobs may borrow from the
-    /// caller's stack; returns only after every spawned job finished.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic of `f` or of any spawned job (after all
-    /// jobs drained, so borrows never dangle).
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'_, 'env>) -> R,
-    {
-        let state = Arc::new(ScopeState::new());
-        let scope = Scope {
-            pool: self,
-            state: Arc::clone(&state),
-            _env: PhantomData,
-        };
-        // Catch a panicking `f` too: the wait below must run before any
-        // unwinding leaves this frame, or jobs could outlive their borrows.
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        state.wait_all();
-        match result {
-            Err(p) => resume_unwind(p),
-            Ok(r) => {
-                let job_panic = lock_ignore_poison(&state.panic).take();
-                if let Some(p) = job_panic {
-                    resume_unwind(p);
-                }
-                r
-            }
-        }
-    }
-
-    /// Enqueues an already-erased job and wakes one worker.
-    fn push(&self, job: Job) {
-        lock_ignore_poison(&self.shared.queue).push_back(job);
-        self.shared.job_ready.notify_one();
-    }
-}
-
-/// Worker main loop: pop a job or park until one arrives.
-fn worker_main(shared: &Shared) {
-    loop {
-        let job = {
-            let mut q = lock_ignore_poison(&shared.queue);
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
-                }
-                q = shared
-                    .job_ready
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        job();
-    }
-}
-
-/// Spawn handle passed to the closure of [`WorkerPool::scope`]; jobs
-/// spawned through it may borrow anything living at least as long as the
-/// scope call (`'env`).
-pub struct Scope<'pool, 'env> {
-    pool: &'pool WorkerPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'env`, like `std::thread::Scope`.
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'_, 'env> {
-    /// Submits `job` to the pool. It may run on any worker thread, at any
-    /// time before the enclosing [`WorkerPool::scope`] call returns.
-    pub fn spawn<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        self.state.inc();
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(job);
-        // SAFETY: `WorkerPool::scope` blocks until `state.pending` drains
-        // back to zero before returning (even when its closure panics), so
-        // the job — and everything it borrows with lifetime 'env — is
-        // guaranteed to have finished running before 'env can end. The
-        // erasure only widens the lifetime the queue stores, never the
-        // region the job actually runs in.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.pool.push(Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(job));
-            if let Err(p) = result {
-                *lock_ignore_poison(&state.panic) = Some(p);
-            }
-            state.dec_and_notify();
-        }));
-    }
-}
-
-/// The process-wide pool used by
-/// [`Legalizer::run_gcells_parallel`](crate::Legalizer::run_gcells_parallel);
-/// shared so repeated calls (bench iterations, trainer subepisodes) reuse
-/// the same threads.
-pub fn global() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(WorkerPool::new)
-}
-
-/// The global pool, grown to at least `n` workers (minimum one).
-///
-/// One-liner entry point for callers that scope jobs immediately — the
-/// asynchronous trainer parks its agents here so repeated `train()` calls
-/// (benches, the serve loop) reuse the same threads instead of spawning
-/// per call.
-pub fn with_workers(n: usize) -> &'static WorkerPool {
-    let pool = global();
-    pool.ensure_workers(n.max(1));
-    pool
-}
+/// Does nothing: no call keeps worker threads between calls, so there is
+/// nothing to start ahead of time. Kept for the benchmark's warm-up step,
+/// which still calls it.
+pub fn with_workers(_n: usize) {}
 
 /// Resolves a `RLLEG_THREADS`-style override string: a positive integer
 /// wins, everything else (absent, empty, zero, garbage) falls back to the
@@ -277,118 +34,6 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn jobs_borrow_scope_locals() {
-        let pool = WorkerPool::new();
-        pool.ensure_workers(3);
-        let values: Vec<u64> = (0..100).collect();
-        let sum = AtomicU64::new(0);
-        pool.scope(|s| {
-            for chunk in values.chunks(7) {
-                let sum = &sum;
-                s.spawn(move || {
-                    sum.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(sum.into_inner(), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn scopes_reuse_threads() {
-        let pool = WorkerPool::new();
-        pool.ensure_workers(2);
-        assert_eq!(pool.workers(), 2);
-        for round in 0..50u64 {
-            let hit = AtomicU64::new(0);
-            pool.scope(|s| {
-                for _ in 0..4 {
-                    let hit = &hit;
-                    s.spawn(move || {
-                        hit.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(hit.into_inner(), 4, "round {round}");
-        }
-        assert_eq!(pool.workers(), 2, "no per-scope spawning");
-        pool.ensure_workers(1);
-        assert_eq!(pool.workers(), 2, "never shrinks");
-    }
-
-    #[test]
-    fn empty_scope_returns_value() {
-        let pool = WorkerPool::new();
-        assert_eq!(pool.scope(|_| 42), 42);
-    }
-
-    #[test]
-    fn job_panic_propagates_after_drain() {
-        let pool = WorkerPool::new();
-        pool.ensure_workers(2);
-        let finished = AtomicU64::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..8 {
-                    let finished = &finished;
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("boom");
-                        }
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must cross the scope");
-        assert_eq!(finished.load(Ordering::Relaxed), 7, "siblings all ran");
-        // The pool survives a panicked scope.
-        let ok = AtomicU64::new(0);
-        pool.scope(|s| {
-            let ok = &ok;
-            s.spawn(move || {
-                ok.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(ok.into_inner(), 1);
-    }
-
-    #[test]
-    fn panicked_job_does_not_wedge_global_pool() {
-        // A panicking job poisons the scope mutexes it touches; the pool
-        // must recover the data instead of propagating the poison, or the
-        // *process-global* pool would return `Err` to every later caller.
-        let pool = global();
-        pool.ensure_workers(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("poison attempt"));
-            });
-        }));
-        assert!(result.is_err(), "job panic must surface to the caller");
-        // The same global pool keeps serving scopes afterwards.
-        for _ in 0..3 {
-            let ok = AtomicU64::new(0);
-            pool.scope(|s| {
-                for _ in 0..4 {
-                    let ok = &ok;
-                    s.spawn(move || {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(ok.into_inner(), 4, "global pool wedged after panic");
-        }
-    }
-
-    #[test]
-    fn global_pool_is_shared() {
-        let a = global() as *const WorkerPool;
-        let b = global() as *const WorkerPool;
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn threads_override_parses_positive_integers_only() {

@@ -7,7 +7,7 @@
 use rlleg_benchgen::{find_spec, generate};
 use rlleg_design::{legality, metrics::Qor, DesignBuilder, EdgeType, Technology};
 use rlleg_geom::Point;
-use rlleg_legalize::{GcellGrid, Legalizer, Ordering, TetrisLegalizer};
+use rlleg_legalize::{GcellGrid, Legalizer, Ordering, TetrisLegalizer, TileSchedule};
 
 fn legalize_and_check(name: &str, scale: f64, ordering: Ordering) -> Qor {
     let spec = find_spec(name).expect("spec exists").scaled(scale);
@@ -72,6 +72,50 @@ fn gcell_partitioned_run_is_legal() {
     let stats = lg.run_gcells(&mut design, &Ordering::SizeDescending, &gcells);
     assert!(stats.is_complete(), "failed: {}", stats.failed.len());
     assert!(legality::is_legal(&design));
+}
+
+/// Two callers running the parallel solver at the same time (the serve
+/// executors' pattern) each start their own workers and must each match a
+/// single-threaded run cell for cell.
+#[test]
+fn concurrent_parallel_callers_match_a_single_threaded_run() {
+    let spec = find_spec("des_perf_b_md1").expect("spec").scaled(0.004);
+    let base = generate(&spec);
+    let gcells = GcellGrid::new(&base, 4, 4);
+    assert!(
+        TileSchedule::new(&gcells).len() > 1,
+        "needs a multi-tile grid"
+    );
+    let ordering = Ordering::Random(5);
+    let run = |threads: usize| {
+        let mut d = base.clone();
+        let stats = Legalizer::new(&d).run_gcells_parallel(&mut d, &ordering, &gcells, threads);
+        (stats, d)
+    };
+    let (ref_stats, reference) = run(1);
+    assert!(ref_stats.is_complete(), "failed: {:?}", ref_stats.failed);
+    let start = std::sync::Barrier::new(2);
+    let runs: Vec<_> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    run(2)
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("caller thread"))
+            .collect()
+    });
+    for (i, (stats, d)) in runs.iter().enumerate() {
+        assert_eq!(stats, &ref_stats, "caller {i}: stats differ");
+        for (a, b) in reference.cells.iter().zip(&d.cells) {
+            assert_eq!(a.pos, b.pos, "caller {i}: {} placed differently", a.name);
+            assert_eq!(a.legalized, b.legalized, "caller {i}: {}", a.name);
+        }
+    }
 }
 
 #[test]

@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod layer;
 mod matrix;

@@ -1,13 +1,13 @@
 //! Job execution: a fixed set of executor threads draining the sharded
 //! queue.
 //!
-//! The executor set is created once at server start — requests never spawn
-//! threads. Inner compute (the per-Gcell parallel solve) dispatches onto
-//! the process-global [`rlleg_legalize::pool`] worker pool, so a burst of
-//! concurrent jobs shares one set of compute threads instead of
-//! oversubscribing the host. Every job runs under `catch_unwind`: a
-//! panicking job (including injected chaos kills) fails *that job* with a
-//! FAILED state and an error message, never the server.
+//! The executor set is created once at server start — requests never get
+//! threads of their own. Inside a job, a legalization whose Gcell grid
+//! spans several coarse tiles starts scoped helper threads for that solve
+//! (at most 8 for an auto grid), which end with it; every single-tile job
+//! runs on its executor thread alone. Every job runs under
+//! `catch_unwind`: a panicking job (including injected chaos kills) fails
+//! *that job* with a FAILED state and an error message, never the server.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;

@@ -88,7 +88,7 @@ pub struct JobEntry {
     pub spec: JobSpec,
     /// Current state code (see [`state`]).
     pub state: u8,
-    /// Buffered progress lines (JSONL), capped at [`PROGRESS_CAP`].
+    /// Buffered progress lines (JSONL), capped at `PROGRESS_CAP` (256).
     pub progress: Vec<String>,
     /// Progress lines shed past the cap.
     pub progress_dropped: u64,

@@ -3,11 +3,11 @@
 //! `rlleg-serve` accepts DEF/LEF payloads over a CRC-framed,
 //! length-prefixed binary protocol (plus a minimal HTTP/1.1 adapter on the
 //! same port) and runs them as jobs on a fixed executor set — concurrent
-//! sessions never spawn per-request threads; inner compute shares the
-//! process-global [`rlleg_legalize::pool`] worker pool. The whole stack is
-//! built from the standard library: readiness comes from `poll(2)`
-//! declared directly ([`poll`]), so the workspace's zero-new-dependency
-//! rule holds.
+//! sessions never spawn per-request threads; only a legalization whose
+//! Gcell grid spans several coarse tiles starts scoped helpers for its
+//! solve. The whole stack is built from the standard library: readiness
+//! comes from `poll(2)` declared directly ([`poll`]), so the workspace's
+//! zero-new-dependency rule holds.
 //!
 //! Pieces:
 //!
@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod client;

@@ -88,6 +88,10 @@ pub fn wait(fds: &[(i32, Interest)], timeout: Duration) -> Vec<Readiness> {
         )
         .unwrap_or(i32::MAX)
         .max(0);
+        // SAFETY: `pfds` is a live, exclusively borrowed array of exactly
+        // `pfds.len()` `#[repr(C)]` records laid out as `struct pollfd`,
+        // and poll(2) writes only their `revents` fields before returning.
+        #[allow(unsafe_code)]
         let rc = unsafe { sys::poll(pfds.as_mut_ptr(), pfds.len() as sys::NfdsT, timeout_ms) };
         let interrupted = rc == -1
             && std::io::Error::last_os_error().raw_os_error() == Some(sys::EINTR)

@@ -8,15 +8,16 @@
 //!                               │             │ (bounded; Full → REJECTED)
 //!                               │             ▼
 //!                               │        executor threads (fixed set)
-//!                               │             │ inner compute → pool::global()
+//!                               │             │ multi-tile solve → scoped helpers
 //!                               │             ▼
 //!                               └──◄── progress / results (per-conn cursors)
 //! ```
 //!
 //! The loop never blocks on a socket and never spawns a thread: readiness
 //! comes from [`crate::poll::wait`], compute happens on the executor set
-//! created at startup. Graceful shutdown closes the queue, lets queued and
-//! running jobs finish, and streams their results to subscribers. A result
+//! created at startup (a multi-tile solve adds scoped helpers that end
+//! with it). Graceful shutdown closes the queue, lets queued and running
+//! jobs finish, and streams their results to subscribers. A result
 //! nobody collected stays live in the write-ahead journal, so a restart on
 //! the same `data_dir` serves it, exactly as after a crash.
 
@@ -42,8 +43,8 @@ use crate::wal::Wal;
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Executor threads (concurrent jobs in flight). 0 = worker-pool
-    /// default ([`rlleg_legalize::pool::default_threads`]).
+    /// Executor threads (concurrent jobs in flight). 0 =
+    /// [`rlleg_legalize::pool::default_threads`].
     pub executors: usize,
     /// Inner solver threads per job when the spec leaves `threads` at 0.
     pub inner_threads: usize,

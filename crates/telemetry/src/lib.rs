@@ -31,6 +31,8 @@
 //! telemetry::disable();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::OnceLock;
 

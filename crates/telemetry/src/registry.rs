@@ -3,7 +3,7 @@
 //! Hot-path updates touch a single per-thread shard (one relaxed atomic
 //! RMW, no locks), so concurrent workers — A3C agents, parallel bench runs
 //! — never contend on a shared cache line. Shards are merged only when a
-//! [`Snapshot`](crate::Snapshot) is taken.
+//! [`Snapshot`] is taken.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -17,7 +17,7 @@ use crate::snapshot::{HistogramSnapshot, Snapshot};
 pub const SHARDS: usize = 16;
 
 /// Index of this thread's shard. Threads are assigned round-robin on first
-/// use, which spreads a worker pool evenly across shards.
+/// use, which spreads concurrent worker threads evenly across shards.
 fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {

@@ -11,6 +11,12 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc with warnings denied: a broken or stale intra-doc link (one to
+# a deleted item, or to a private one) fails here instead of rotting in
+# the rendered docs.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> tier-1 verify: cargo build --release"
 cargo build --release
 

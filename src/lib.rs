@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use rlleg_bayesopt as bayesopt;
 pub use rlleg_benchgen as benchgen;
