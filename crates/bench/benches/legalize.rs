@@ -8,9 +8,9 @@
 //! time, overflow-trajectory endpoints, and post-legalization HPWL from
 //! gplace vs the synthetic benchgen perturbation), batched vs per-state
 //! network evaluation, and async vs round-robin training throughput on a
-//! 10k-cell design. The custom `main` exports every measurement (mean ns +
-//! iters/sec) to `BENCH_legalize.json` at the repo root so the perf
-//! trajectory is diffable across PRs.
+//! 10k-cell design. The custom `main` exports every measurement (mean ns)
+//! to `BENCH_legalize.json` at the repo root so the perf trajectory is
+//! diffable across PRs.
 //!
 //! CLI (after `cargo bench -p rlleg-bench --`):
 //!
@@ -321,7 +321,7 @@ fn bench_inference(c: &mut Criterion) {
 }
 
 /// Training throughput: the asynchronous concurrent-agent trainer (batched
-/// policy forwards across Gcells, lock-free parameter snapshots) vs the
+/// policy forwards across Gcells, a shared locked parameter store) vs the
 /// deterministic round-robin `Trainer` on the same 10k-cell design and
 /// config. Both run `agents × episodes` full episodes, so mean time per
 /// iteration is directly comparable as steps/sec; `bench_guard.sh` asserts

@@ -1,157 +1,104 @@
-//! A versioned, double-buffered parameter store for asynchronous A3C.
+//! The versioned parameter store behind asynchronous A3C.
 //!
-//! The original training loop funneled every parameter read *and* write
-//! through one coarse `Mutex<(params, Adam)>`: an agent refreshing its
-//! local network blocked every other agent's gradient application, so the
-//! "asynchronous" agents of Algorithm 1 spent most of their wall clock
-//! convoyed on the lock. [`ParamStore`] splits the two roles:
+//! Algorithm 1's agents share one global network: each copies it into its
+//! local network at episode start (`θ' ← θ`, line 4) and applies its
+//! gradients to it. [`ParamStore`] is one mutex over the parameter vector
+//! and its publish count. [`update`](ParamStore::update) runs the caller's
+//! closure and bumps the version under the lock, and
+//! [`read_into`](ParamStore::read_into) copies under it, so a snapshot is
+//! always a bit-exact copy of one published vector and the epoch returned
+//! with it names exactly that publish — the properties the `params` fuzz
+//! oracle checks under writer/reader contention.
 //!
-//! - **Writers** (gradient applications) stay serialized — Adam's moment
-//!   vectors are inherently sequential — but publish each new parameter
-//!   vector into one of two atomic buffers and bump an epoch counter.
-//! - **Readers** (agents syncing `θ' ← θ`, Algorithm 1 line 4) copy the
-//!   *active* buffer without taking any lock, then validate the epoch.
-//!   A reader only retries when at least two publishes completed during
-//!   its copy (the double buffer absorbs one), so readers never block
-//!   writers and writers never block readers.
-//!
-//! The protocol is a seqlock over a double buffer. `version` encodes
-//! `2 × publishes + in_progress`; the active (stable) buffer is
-//! `publishes & 1`. A writer marks the store odd *before* touching the
-//! inactive buffer and even again after, so a reader that observed any of
-//! the writer's stores is guaranteed — via the release fence before the
-//! stores and the acquire fence after the reader's loads — to fail its
-//! epoch validation and retry. Buffer words are `AtomicU32` f32 bits:
-//! every access is atomic, so a torn read is impossible at the word level
-//! and detected at the vector level by the epoch check. Snapshots are
-//! therefore always bit-exact copies of some published parameter vector —
-//! the property the `params` fuzz oracle hammers on.
-
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+//! The trainer takes its optimizer lock before the store's (lock order
+//! opt → store), so writers already run one at a time; the critical
+//! section is one Adam step or one copy of the vector.
 
 use parking_lot::Mutex;
 
-/// Lock-free-to-read, serialized-to-write versioned parameter buffer.
+// Only the unit tests use atomics; they import this via `use super::*`.
+#[cfg(test)]
+use std::sync::atomic::Ordering;
+
+/// The parameters and the number of publishes that produced them.
+struct Published {
+    params: Vec<f32>,
+    version: u64,
+}
+
+/// A versioned parameter vector behind one lock.
 ///
-/// See the module docs for the protocol. The store has a fixed length set
-/// at construction; [`update`](Self::update) and
-/// [`read_into`](Self::read_into) panic on length mismatch (parameter
-/// vectors never change shape mid-training).
+/// The length is fixed at construction: [`update`](Self::update) hands
+/// its closure a slice (parameter vectors never change shape
+/// mid-training).
 pub struct ParamStore {
-    /// Writer-side canonical parameters, also serializing writers.
-    master: Mutex<Vec<f32>>,
-    /// The two published buffers (f32 bits). `bufs[publishes & 1]` is the
-    /// stable one; the other is the writer's scratch.
-    bufs: [Box<[AtomicU32]>; 2],
-    /// `2 × publishes + (1 if a publish is copying)`.
-    version: AtomicU64,
+    inner: Mutex<Published>,
 }
 
 impl std::fmt::Debug for ParamStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.inner.lock();
         f.debug_struct("ParamStore")
-            .field("len", &self.len())
-            .field("version", &self.version())
+            .field("len", &inner.params.len())
+            .field("version", &inner.version)
             .finish()
     }
-}
-
-fn bits_buf(params: &[f32]) -> Box<[AtomicU32]> {
-    params.iter().map(|x| AtomicU32::new(x.to_bits())).collect()
 }
 
 impl ParamStore {
     /// Creates a store holding `initial` as published version 0.
     pub fn new(initial: Vec<f32>) -> Self {
-        let bufs = [bits_buf(&initial), bits_buf(&initial)];
         Self {
-            master: Mutex::new(initial),
-            bufs,
-            version: AtomicU64::new(0),
+            inner: Mutex::new(Published {
+                params: initial,
+                version: 0,
+            }),
         }
     }
 
     /// Number of parameters stored.
     pub fn len(&self) -> usize {
-        self.bufs[0].len()
+        self.inner.lock().params.len()
     }
 
     /// `true` when the parameter vector is empty.
     pub fn is_empty(&self) -> bool {
-        self.bufs[0].is_empty()
+        self.len() == 0
     }
 
     /// Number of publishes so far (the epoch of the newest snapshot).
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire) >> 1
+        self.inner.lock().version
     }
 
     /// Applies `f` to the parameters and publishes the result as a new
-    /// version. Writers are serialized; concurrent readers keep reading
-    /// the previous version without blocking.
+    /// version, both under the store's lock.
     ///
     /// Returns the epoch of the published version.
     pub fn update(&self, f: impl FnOnce(&mut [f32])) -> u64 {
-        let mut master = self.master.lock();
-        f(&mut master);
-        let v = self.version.load(Ordering::Relaxed);
-        debug_assert_eq!(v & 1, 0, "version must be even between publishes");
-        let publishes = v >> 1;
-        let scratch = &self.bufs[((publishes + 1) & 1) as usize];
-        assert_eq!(master.len(), scratch.len(), "parameter length is fixed");
-        // Mark the publish in progress *before* touching the scratch
-        // buffer: a reader that sees any of the stores below is guaranteed
-        // to see an epoch >= this one when it validates (release fence
-        // here pairs with the acquire fence in `read_into`).
-        self.version.store(v + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        for (slot, &p) in scratch.iter().zip(master.iter()) {
-            slot.store(p.to_bits(), Ordering::Relaxed);
-        }
-        // Flip the active buffer; readers syncing from here on get the new
-        // parameters (release store pairs with their acquire load).
-        self.version.store(v + 2, Ordering::Release);
-        publishes + 1
+        let mut inner = self.inner.lock();
+        f(&mut inner.params);
+        inner.version += 1;
+        inner.version
     }
 
-    /// Copies a consistent snapshot of the newest published parameters
-    /// into `out` (resized to fit) and returns its epoch.
-    ///
-    /// Lock-free: retries only when two or more publishes completed during
-    /// the copy, which bounds staleness by construction — the snapshot is
-    /// never older than the newest version at the moment the copy started.
+    /// Copies the newest published parameters into `out` (resized to fit)
+    /// and returns their epoch.
     pub fn read_into(&self, out: &mut Vec<f32>) -> u64 {
-        let n = self.len();
-        out.resize(n, 0.0);
-        loop {
-            let v1 = self.version.load(Ordering::Acquire);
-            let publishes = v1 >> 1;
-            let stable = &self.bufs[(publishes & 1) as usize];
-            for (dst, slot) in out.iter_mut().zip(stable.iter()) {
-                *dst = f32::from_bits(slot.load(Ordering::Relaxed));
-            }
-            // The stable buffer of epoch `publishes` is next written by the
-            // publish of epoch `publishes + 2`, which first sets the odd
-            // version `(v1 | 1) + 2`. Anything below that means the buffer
-            // was untouched during our copy.
-            fence(Ordering::Acquire);
-            let v2 = self.version.load(Ordering::Relaxed);
-            if v2 < (v1 | 1) + 2 {
-                return publishes;
-            }
-        }
+        let inner = self.inner.lock();
+        out.clear();
+        out.extend_from_slice(&inner.params);
+        inner.version
     }
 
     /// A fresh snapshot of the newest published parameters.
     pub fn snapshot(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.read_into(&mut out);
-        out
+        self.inner.lock().params.clone()
     }
 
     /// Consumes the store, returning the newest parameters without a copy.
     pub fn into_inner(self) -> Vec<f32> {
-        self.master.into_inner()
+        self.inner.into_inner().params
     }
 }
 

@@ -17,11 +17,10 @@
 //!
 //! - [`train`] runs its agents concurrently on scoped threads, each on
 //!   its own environments, and passes all of an episode's Gcells as one
-//!   group. Global parameters live in a [`ParamStore`] — a versioned,
-//!   double-buffered seqlock: gradient applications stay serialized (Adam
-//!   moments are sequential) but agents syncing `θ' ← θ` copy the active
-//!   buffer lock-free, so a slow reader never stalls a writer and vice
-//!   versa.
+//!   group. Global parameters live in a [`ParamStore`], one lock over
+//!   the vector and its version: a gradient application (one Adam step)
+//!   and an agent's `θ' ← θ` copy each hold it briefly, taken after the
+//!   optimizer lock when both are needed.
 //! - [`Trainer`] runs its agents one after another and passes Gcells one
 //!   at a time, which makes a run a pure function of its inputs and
 //!   checkpointable.
@@ -100,7 +99,7 @@ impl TrainResult {
 }
 
 pub(crate) struct Shared {
-    /// Versioned global parameters: serialized writers, lock-free readers.
+    /// Versioned global parameters. Lock order: `opt`, then `store`.
     pub(crate) store: ParamStore,
     /// Shared Adam moments, locked only while applying one gradient.
     pub(crate) opt: Mutex<Adam>,

@@ -33,7 +33,7 @@
 //!    mutated, truncated, spliced, or garbage byte streams return `Err`
 //!    — never panic, hang, or mis-frame;
 //! 7. [`oracle_params`] — the asynchronous trainer's
-//!    [`rl_legalizer::ParamStore`] seqlock under writer/reader thread
+//!    [`rl_legalizer::ParamStore`] under writer/reader thread
 //!    contention: snapshots are never torn, the reported epoch always
 //!    names the publish actually read (no ABA), and epochs are monotone;
 //! 8. [`oracle_gplace`] — the analytical global placer: output positions

@@ -1,4 +1,4 @@
-//! Oracle 7: the [`ParamStore`] seqlock protocol under real contention.
+//! Oracle 7: the [`ParamStore`] under real writer/reader contention.
 //!
 //! The asynchronous trainer's correctness rests on two store guarantees
 //! that no unit test can exercise as hard as a fuzzer: snapshots are never

@@ -21,7 +21,7 @@
 //!   `decode_frame` must classify each as its pinned [`ProtoError`], and
 //!   a byte-at-a-time [`FrameReader`] feed must never yield a frame;
 //! - `*.params` — `ParamStore` contention cases (writer/reader counts,
-//!   vector length, publish budget); the seqlock invariants — untorn
+//!   vector length, publish budget); the store invariants — untorn
 //!   snapshots, epoch/stamp coherence, monotone epochs — must hold on
 //!   each replay;
 //! - `*.wal` — hex dumps of write-ahead-journal segments left behind by a

@@ -13,7 +13,7 @@ use rlleg_geom::Dbu;
 use crate::gcell::GcellGrid;
 use crate::order::Ordering;
 use crate::pixel::{GridPos, PixelGrid};
-use crate::sched::{StealQueues, TileSchedule};
+use crate::sched::TileSchedule;
 use crate::search::{find_position_hot, SearchConfig};
 
 /// Outcome of one Gcell-local solve: committed `(cell, pos)` pairs in
@@ -224,11 +224,11 @@ impl Legalizer {
     /// the window, and the window grid answers them exactly as the full
     /// grid would, so workers never observe each other and the per-Gcell
     /// outcome cannot depend on thread scheduling. Work is handed out as
-    /// coarse 2×2 [`TileSchedule`] tiles on per-worker stealing deques
-    /// ([`StealQueues`]), so workers stay in one region of the die and a
-    /// drained worker steals whole tiles instead of idling; stealing only
-    /// moves *where* a tile is solved, never what its solve produces.
-    /// Each worker hands its `(gcell, solve)` results back when it joins.
+    /// coarse 2×2 [`TileSchedule`] tiles off one shared cursor, so a
+    /// worker stays in one region of the die for a tile's Gcells and an
+    /// idle worker takes the next tile; the cursor only moves *where* a
+    /// tile is solved, never what its solve produces. Each worker hands
+    /// its `(gcell, solve)` results back when it joins.
     ///
     /// Phase 2 merges the recorded placements sequentially in the fixed
     /// [`TileSchedule::merge_order`] (tiles ascending, tile-local
@@ -314,18 +314,22 @@ impl Legalizer {
             (placed, failed)
         };
 
-        // Each worker claims coarse tiles from its stealing deque and
+        // Each worker claims coarse tiles off the shared cursor and
         // solves their Gcells on one window grid. `Err(())` marks a
         // quarantined Gcell: its solve panicked. The panic is contained
         // here — [`PixelGrid::load`] fully reinitializes the window grid,
         // so the worker's next Gcell is unaffected, and the merge phase
         // retries the Gcell's cells on the sequential size-ordered
         // fallback path instead of aborting the run.
-        let queues = StealQueues::seed(tiles.len(), threads);
-        let worker = |w: usize| {
+        let next_tile = std::sync::atomic::AtomicUsize::new(0);
+        let worker = || {
             let mut scratch = PixelGrid::default();
             let mut out: Vec<(usize, Result<GcellSolve, ()>)> = Vec::new();
-            while let Some(t) = queues.next(w) {
+            loop {
+                let t = next_tile.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if t >= tiles.len() {
+                    break;
+                }
                 for &g in tiles.gcells(t) {
                     let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         solve(&mut scratch, g)
@@ -336,8 +340,8 @@ impl Legalizer {
             out
         };
         let per_worker: Vec<_> = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..threads).map(|w| s.spawn(move || worker(w))).collect();
-            let mut all = vec![worker(0)];
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+            let mut all = vec![worker()];
             for h in helpers {
                 all.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
@@ -352,7 +356,6 @@ impl Legalizer {
                 lo = lo.min(done);
                 hi = hi.max(done);
             }
-            telemetry::counter("legalize.steal.count").add(queues.steals());
             telemetry::gauge("legalize.tile.imbalance").set(hi - lo);
         }
         let mut results: Vec<Option<Result<GcellSolve, ()>>> = (0..n).map(|_| None).collect();

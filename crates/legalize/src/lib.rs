@@ -16,10 +16,10 @@
 //! - [`TetrisLegalizer`] — a greedy row-packing alternative backend (the
 //!   paper: "our framework can be applied to any sequential legalization
 //!   algorithms"),
-//! - [`sched::TileSchedule`] / [`sched::StealQueues`] — the two-level
-//!   coarse-tile → fine-Gcell schedule with per-worker stealing deques
-//!   that feeds `run_gcells_parallel`'s scoped worker threads
-//!   deterministically,
+//! - [`TileSchedule`] — the two-level coarse-tile → fine-Gcell schedule
+//!   whose tiles `run_gcells_parallel`'s scoped worker threads take off
+//!   one shared cursor, with a fixed merge order that keeps results
+//!   deterministic,
 //! - [`pool`] — the worker-thread count behind every "0 = default"
 //!   thread knob (`RLLEG_THREADS`),
 //! - [`GcellGrid`] / [`BinGrid`] — subepisode partitioning (Sec. III-E-1),
@@ -63,6 +63,6 @@ pub use gcell::{BinGrid, GcellGrid};
 pub use legalizer::{Legalizer, PlaceCellError, RunStats};
 pub use order::Ordering;
 pub use pixel::{GridPos, GridWindow, PixelGrid, PlaceRejection};
-pub use sched::{StealQueues, TileSchedule};
+pub use sched::TileSchedule;
 pub use search::{find_position, find_position_hot, find_position_reference, SearchConfig};
 pub use tetris::TetrisLegalizer;

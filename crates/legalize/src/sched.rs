@@ -1,24 +1,16 @@
-//! Two-level coarse-tile → fine-Gcell schedule with work stealing.
+//! Two-level coarse-tile → fine-Gcell schedule.
 //!
-//! The flat per-Gcell fan-out claimed Gcells one at a time off a shared
-//! counter, which serializes workers on the counter for big grids and
-//! gives no locality: consecutive claims can land on opposite corners of
-//! the die. The hierarchical schedule groups the Gcell grid into fixed
-//! 2×2 coarse tiles, seeds every worker's deque with tiles round-robin,
-//! and lets idle workers steal from the back of a sibling's deque. A
-//! worker solves all Gcells of a tile before taking the next one, so its
-//! window snapshots stay in one region of the die.
+//! The Gcell grid is grouped into fixed 2×2 coarse tiles. Workers take
+//! whole tiles off one shared cursor and solve all Gcells of a tile before
+//! taking the next one, so each worker's window snapshots stay in one
+//! region of the die.
 //!
 //! **Determinism:** the tile partition and the per-tile Gcell order depend
-//! only on the Gcell grid — never on worker count or timing. Work stealing
+//! only on the Gcell grid — never on worker count or timing. The cursor
 //! only changes *which worker* solves a tile; solves are snapshot-isolated
 //! so the per-Gcell outcome is schedule-independent, and the phase-2 merge
 //! replays results in the fixed [`TileSchedule::merge_order`]. That is what
 //! keeps legalization bit-identical across thread counts.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::gcell::GcellGrid;
 
@@ -77,66 +69,6 @@ impl TileSchedule {
     }
 }
 
-/// Per-worker deques of tile indices with lock-based stealing.
-///
-/// Each worker owns one deque, seeded round-robin. A worker pops from the
-/// front of its own deque; when empty it steals from the *back* of the
-/// first non-empty sibling deque (scanning round-robin from its right
-/// neighbour), so steals grab the work the owner would reach last.
-#[derive(Debug)]
-pub struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    steals: AtomicU64,
-}
-
-impl StealQueues {
-    /// Distributes tiles `0..num_tiles` round-robin over `workers` deques.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn seed(num_tiles: usize, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-        for t in 0..num_tiles {
-            queues[t % workers].push_back(t);
-        }
-        Self {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Next tile for worker `w`: own front, else steal a sibling's back.
-    /// `None` once every deque is drained (nothing is ever re-queued).
-    pub fn next(&self, w: usize) -> Option<usize> {
-        let pop = |q: &Mutex<VecDeque<usize>>, back: bool| {
-            let mut q = q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if back {
-                q.pop_back()
-            } else {
-                q.pop_front()
-            }
-        };
-        if let Some(t) = pop(&self.queues[w], false) {
-            return Some(t);
-        }
-        for off in 1..self.queues.len() {
-            let victim = (w + off) % self.queues.len();
-            if let Some(t) = pop(&self.queues[victim], true) {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Number of successful steals so far.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,23 +115,6 @@ mod tests {
                 counts.windows(2).all(|w| w[0] >= w[1]),
                 "tile {t}: {counts:?}"
             );
-        }
-    }
-
-    #[test]
-    fn steal_queues_drain_every_tile_exactly_once() {
-        for workers in [1usize, 2, 3, 5] {
-            let q = StealQueues::seed(11, workers);
-            let mut got = Vec::new();
-            // Worker 0 drains everything: 11 - ceil(11/workers) steals.
-            while let Some(t) = q.next(0) {
-                got.push(t);
-            }
-            got.sort_unstable();
-            assert_eq!(got, (0..11).collect::<Vec<_>>(), "workers={workers}");
-            let own = 11usize.div_ceil(workers);
-            assert_eq!(q.steals(), (11 - own) as u64, "workers={workers}");
-            assert_eq!(q.next(0), None, "drained queues stay empty");
         }
     }
 }

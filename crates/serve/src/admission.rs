@@ -1,11 +1,11 @@
-//! Admission control: load-shedding in front of the shard queues.
+//! Admission control: load-shedding in front of the job queue.
 //!
-//! The bounded queue already rejects with `QUEUE_FULL` when a shard hard
-//! fills, but by then every queued job drags p99 latency with it — the
-//! queue is sized for burst absorption, not for sustained overload. This
-//! layer tracks the total *cost* of admitted-but-unfinished work
-//! (estimated cells × a per-kind weight) and starts shedding before the
-//! queues fill: low-priority work (training) is turned away at a soft
+//! The bounded queue already rejects with `QUEUE_FULL` when it fills, but
+//! by then every queued job drags p99 latency with it — the queue is
+//! sized for burst absorption, not for sustained overload. This layer
+//! tracks the total *cost* of admitted-but-unfinished work (estimated
+//! cells × a per-kind weight) and starts shedding before the queue
+//! fills: low-priority work (training) is turned away at a soft
 //! watermark, everything at the hard one. Rejections carry a
 //! `retry_after_ms=N` hint (HTTP 429 + `Retry-After`) sized to the
 //! current overshoot, so clients back off instead of hammering.

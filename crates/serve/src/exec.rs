@@ -1,4 +1,4 @@
-//! Job execution: a fixed set of executor threads draining the sharded
+//! Job execution: a fixed set of executor threads draining the bounded
 //! queue.
 //!
 //! The executor set is created once at server start — requests never get
@@ -29,7 +29,7 @@ use telemetry::journal::Event;
 use crate::admission::Admission;
 use crate::job::{unix_ms_now, JobId, JobOutcome, JobTable};
 use crate::proto::{flags, JobKind, JobSpec};
-use crate::queue::ShardedQueue;
+use crate::queue::BoundedQueue;
 use crate::wal::Wal;
 
 /// Executor-side configuration (a slice of the server config).
@@ -396,7 +396,7 @@ impl Executors {
     pub fn spawn(
         n: usize,
         cfg: ExecConfig,
-        queue: Arc<ShardedQueue<JobId>>,
+        queue: Arc<BoundedQueue<JobId>>,
         table: Arc<JobTable>,
         wal: Arc<Wal>,
         admission: Arc<Admission>,
@@ -473,12 +473,12 @@ fn fail_job(table: &JobTable, wal: &Wal, id: JobId, error: String, counter: &str
 fn executor_loop(
     worker: usize,
     cfg: &ExecConfig,
-    queue: &ShardedQueue<JobId>,
+    queue: &BoundedQueue<JobId>,
     table: &JobTable,
     wal: &Wal,
     admission: &Admission,
 ) {
-    while let Some(id) = queue.pop(worker) {
+    while let Some(id) = queue.pop() {
         // Claiming moves the spec out of the table (the DEF/LEF text now
         // lives only with this executor); a cancelled-while-queued job
         // yields no spec and its stale queue entry is simply discarded.

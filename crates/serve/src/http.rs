@@ -7,7 +7,7 @@
 //! - `GET /metrics` — the telemetry registry snapshot as JSON.
 //! - `POST /jobs` — submit a legalization job; the body is the DEF text,
 //!   query parameters tune it (`?ordering=size|x|random&seed=N&threads=N`).
-//!   Answers `202` with the job id, `429` when the queue shard is full,
+//!   Answers `202` with the job id, `429` when the queue is full,
 //!   `413` when the body exceeds the frame cap.
 //! - `GET /jobs/<id>` — job state + stats JSON.
 //! - `GET /jobs/<id>/def` — the result DEF of a finished job.

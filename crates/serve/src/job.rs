@@ -23,7 +23,7 @@ pub type JobId = u64;
 
 /// Wire-visible job states (payload of a STATUS frame).
 pub mod state {
-    /// Accepted, waiting in its queue shard.
+    /// Accepted, waiting in the queue.
     pub const QUEUED: u8 = 0;
     /// An executor is working on it.
     pub const RUNNING: u8 = 1;
@@ -109,7 +109,7 @@ pub struct JobEntry {
     /// Admission-control cost charged for this job (released when it
     /// reaches a terminal state).
     pub cost: u64,
-    /// When set, the job is queued *logically* but not in a shard — it is
+    /// When set, the job is queued *logically* but not in the queue — it is
     /// backing off after a transient failure; the sweep re-enqueues it
     /// once this instant passes.
     pub retry_at: Option<Instant>,
@@ -257,8 +257,8 @@ impl JobTable {
         .unwrap_or(false)
     }
 
-    /// Re-arms the backoff stamp of a queued job (used when the shard
-    /// queue is full at re-enqueue time).
+    /// Re-arms the backoff stamp of a queued job (used when the queue is
+    /// full at re-enqueue time).
     pub fn schedule_retry(&self, id: JobId, at: Instant) {
         self.with(id, |e| {
             if e.state == state::QUEUED {
@@ -268,7 +268,7 @@ impl JobTable {
     }
 
     /// Ids whose backoff expired: clears their stamps and returns them
-    /// for the sweep to push into the shard queue.
+    /// for the sweep to push into the queue.
     pub fn take_due_retries(&self, now: Instant) -> Vec<JobId> {
         let mut jobs = relock(&self.jobs);
         let mut due = Vec::new();

@@ -14,8 +14,8 @@
 //! - [`proto`] — the wire format: 13-byte header (magic, type, length,
 //!   CRC-32), strict decoding, incremental [`proto::FrameReader`],
 //! - [`poll`] — readiness multiplexing for the single event-loop thread,
-//! - [`queue`] — the sharded bounded job queue; a full shard answers
-//!   REJECTED (HTTP 429) instead of buffering unboundedly,
+//! - [`queue`] — the bounded job queue; a full queue answers REJECTED
+//!   (HTTP 429) instead of buffering unboundedly,
 //! - [`job`] — the job table: states, progress streams (telemetry-journal
 //!   JSONL), terminal outcomes,
 //! - [`wal`] — the write-ahead job journal: every acknowledgment is

@@ -88,7 +88,7 @@ pub struct OverloadReport {
     pub ov_submitted: u64,
     /// SHED rejections (admission control, with a retry-after hint).
     pub ov_shed: u64,
-    /// QUEUE_FULL rejections (the shard hard limit behind admission).
+    /// QUEUE_FULL rejections (the queue's hard limit behind admission).
     pub ov_queue_full: u64,
     /// Accepted jobs that returned a terminal result.
     pub ov_completed: u64,

@@ -2,8 +2,8 @@
 //! generator.
 //!
 //! ```text
-//! rlleg-serve [--addr 127.0.0.1:7878] [--executors N] [--shards N]
-//!             [--depth N] [--chaos]
+//! rlleg-serve [--addr 127.0.0.1:7878] [--executors N] [--queue-depth N]
+//!             [--chaos]
 //!             [--journal FILE [--journal-max-kb N] [--journal-keep N]]
 //!                                             # run the server
 //! rlleg-serve --smoke                         # loopback self-check
@@ -39,8 +39,7 @@ fn config_from(args: &Args) -> ServeConfig {
     ServeConfig {
         addr: args.get("addr", "127.0.0.1:0".to_string()),
         executors: args.get("executors", 0usize),
-        shards: args.get("shards", 4usize),
-        shard_depth: args.get("depth", 16usize),
+        queue_depth: args.get("queue-depth", 64usize),
         idle_timeout: Duration::from_millis(args.get("idle-ms", 10_000u64)),
         data_dir: std::path::PathBuf::from(args.get("data-dir", "target/serve-data".to_string())),
         chaos_enabled: args.flag("chaos"),
@@ -229,8 +228,7 @@ fn loadgen_main(args: &Args) {
     let cfg = ServeConfig {
         data_dir: std::env::temp_dir().join(format!("rlleg-serve-ov-{}", std::process::id())),
         executors: 2,
-        shards: 2,
-        shard_depth: 4,
+        queue_depth: 8,
         max_inflight_cost: one_cost.saturating_mul(2).max(1),
         ..config_from(args)
     };

@@ -41,7 +41,7 @@ pub const SPEC_VERSION: u8 = 3;
 
 /// Why a submission was refused (payload of [`Frame::Rejected`]).
 pub mod reject {
-    /// The job's queue shard is at capacity — retry later (HTTP 429).
+    /// The job queue is at capacity — retry later (HTTP 429).
     pub const QUEUE_FULL: u16 = 1;
     /// The server is draining for shutdown and accepts no new work.
     pub const DRAINING: u16 = 2;

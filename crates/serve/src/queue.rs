@@ -1,18 +1,14 @@
-//! Sharded, bounded job queue with explicit backpressure.
+//! Bounded job queue with explicit backpressure.
 //!
-//! Jobs hash to a shard by their id; each shard holds at most `depth`
-//! queued jobs. A full shard refuses the push — the server answers with a
-//! REJECTED frame (HTTP 429) instead of buffering unboundedly, so memory
-//! under overload is capped by construction and clients get an honest
-//! retry signal. Executors pop starting at their own shard and scan the
-//! others (work conservation: a busy shard's backlog is stolen by idle
-//! executors), blocking on a condvar while every shard is empty.
+//! One FIFO holds at most `capacity` queued jobs. A full queue refuses the
+//! push — the server answers with a REJECTED frame (HTTP 429) instead of
+//! buffering unboundedly, so memory under overload is capped by
+//! construction and clients get an honest retry signal. Executors block
+//! on a condvar while the queue is empty.
 //!
-//! Only poppers ever remove items — that invariant is what lets `pop`
-//! claim an item by decrementing the count and then scan the shards
-//! without re-taking the count lock. Cancellation is therefore logical,
-//! not physical: a cancelled job's id stays queued and the executor that
-//! eventually pops it discards it (its `JobTable::claim` fails).
+//! Cancellation is logical, not physical: a cancelled job's id stays
+//! queued and the executor that eventually pops it discards it (its
+//! `JobTable::claim` fails).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -20,61 +16,54 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
-    /// The job's shard is at capacity: backpressure, retry later.
+    /// The queue is at capacity: backpressure, retry later.
     Full,
     /// The queue is closed (server draining); no new work is accepted.
     Closed,
 }
 
-/// Recovers data from a poisoned mutex: every value behind the queue's
-/// locks is updated in single statements and cannot be observed torn.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Tracks total queued items and the closed flag under one lock so
-/// blocked poppers have a single condvar to wait on.
-struct Avail {
-    count: usize,
+/// The queued items and the closed flag, under one lock.
+struct State<T> {
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded multi-shard FIFO of job ids.
-pub struct ShardedQueue<T> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-    depth: usize,
-    avail: Mutex<Avail>,
+/// A bounded FIFO of job ids.
+pub struct BoundedQueue<T> {
+    state: Mutex<State<T>>,
+    capacity: usize,
     ready: Condvar,
 }
 
-impl<T> ShardedQueue<T> {
-    /// A queue of `shards` shards, each bounded to `depth` items.
-    pub fn new(shards: usize, depth: usize) -> Self {
-        let shards = shards.max(1);
+impl<T> BoundedQueue<T> {
+    /// A queue holding at most `capacity` items (at least one).
+    pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            depth: depth.max(1),
-            avail: Mutex::new(Avail {
-                count: 0,
+            state: Mutex::new(State {
+                items: VecDeque::new(),
                 closed: false,
             }),
+            capacity: capacity.max(1),
             ready: Condvar::new(),
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    /// Recovers the state from a poisoned lock: every update to it is a
+    /// single statement and cannot be observed torn.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Maximum queued items across all shards.
+    /// Maximum queued items.
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.depth
+        self.capacity
     }
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        relock(&self.avail).count
+        self.lock().items.len()
     }
 
     /// `true` when no items are queued.
@@ -82,71 +71,41 @@ impl<T> ShardedQueue<T> {
         self.len() == 0
     }
 
-    /// The shard `hint` hashes to.
-    pub fn shard_of(&self, hint: u64) -> usize {
-        // Fibonacci hash: consecutive ids spread across shards instead of
-        // clustering in one.
-        (hint.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
-    }
-
-    /// Enqueues `item` on the shard `hint` hashes to.
+    /// Enqueues `item` at the back.
     ///
     /// # Errors
     ///
-    /// [`PushError::Full`] when that shard is at capacity (backpressure);
+    /// [`PushError::Full`] when the queue is at capacity (backpressure);
     /// [`PushError::Closed`] once [`close`](Self::close) was called.
-    pub fn push(&self, item: T, hint: u64) -> Result<(), PushError> {
-        let shard = self.shard_of(hint);
+    pub fn push(&self, item: T) -> Result<(), PushError> {
         {
-            let avail = relock(&self.avail);
-            if avail.closed {
+            let mut state = self.lock();
+            if state.closed {
                 return Err(PushError::Closed);
             }
-            // Insert while holding `avail`: a popper that sees count > 0
-            // is guaranteed to find the item in some shard.
-            let mut q = relock(&self.shards[shard]);
-            if q.len() >= self.depth {
+            if state.items.len() >= self.capacity {
                 return Err(PushError::Full);
             }
-            q.push_back(item);
-            drop(q);
-            let mut avail = avail;
-            avail.count += 1;
+            state.items.push_back(item);
         }
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Pops one item, blocking while the queue is empty. Scans shards
-    /// starting at `worker` (stealing from busier shards when the home
-    /// shard is empty). Returns `None` once the queue is closed *and*
-    /// drained.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let mut avail = relock(&self.avail);
+    /// Pops the front item, blocking while the queue is empty. Returns
+    /// `None` once the queue is closed *and* drained.
+    pub fn pop(&self) -> Option<T> {
+        let mut state = self.lock();
         loop {
-            if avail.count > 0 {
-                avail.count -= 1;
-                drop(avail);
-                // `count` was decremented under the lock, claiming one of
-                // the items inserted before it was incremented — some
-                // shard holds it and only poppers remove items, so the
-                // scan must find one.
-                loop {
-                    for i in 0..self.shards.len() {
-                        let idx = (worker + i) % self.shards.len();
-                        if let Some(item) = relock(&self.shards[idx]).pop_front() {
-                            return Some(item);
-                        }
-                    }
-                    std::thread::yield_now();
-                }
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
-            if avail.closed {
+            if state.closed {
                 return None;
             }
-            avail = self
+            state = self
                 .ready
-                .wait(avail)
+                .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
@@ -154,7 +113,7 @@ impl<T> ShardedQueue<T> {
     /// Closes the queue: pending items still drain, new pushes fail, and
     /// blocked poppers return `None` once empty.
     pub fn close(&self) {
-        relock(&self.avail).closed = true;
+        self.lock().closed = true;
         self.ready.notify_all();
     }
 }
@@ -166,100 +125,55 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn per_shard_backpressure_rejects_when_full() {
-        let q = ShardedQueue::new(2, 2);
-        assert_eq!(q.capacity(), 4);
-        // Fill one shard to its depth using hints that hash to it.
-        let shard0_hints: Vec<u64> = (0..100).filter(|&h| q.shard_of(h) == 0).take(3).collect();
-        assert!(q.push(shard0_hints[0], shard0_hints[0]).is_ok());
-        assert!(q.push(shard0_hints[1], shard0_hints[1]).is_ok());
-        assert_eq!(
-            q.push(shard0_hints[2], shard0_hints[2]),
-            Err(PushError::Full),
-            "third push into a depth-2 shard must be refused"
-        );
-        // The *other* shard still accepts.
-        let other: u64 = (0..100).find(|&h| q.shard_of(h) == 1).expect("hint");
-        assert!(q.push(other, other).is_ok());
-        assert_eq!(q.len(), 3);
+    fn capacity_bounds_the_whole_queue_whatever_the_ids() {
+        // Repeated, consecutive and widely spaced ids: the bound is on the
+        // queue, never on a subset of ids.
+        for ids in [[7u64; 5], [0, 1, 2, 3, 4], [0, 64, 128, 192, 256]] {
+            let q = BoundedQueue::new(4);
+            assert_eq!(q.capacity(), 4);
+            for &id in &ids[..4] {
+                assert_eq!(q.push(id), Ok(()), "{ids:?}: push {id} under capacity");
+            }
+            assert_eq!(
+                q.push(ids[4]),
+                Err(PushError::Full),
+                "{ids:?}: the fifth push into a capacity-4 queue must be refused"
+            );
+            assert_eq!(q.len(), 4);
+        }
     }
 
     #[test]
-    fn fifo_within_a_shard() {
-        let q = ShardedQueue::new(1, 8);
+    fn fifo_order() {
+        let q = BoundedQueue::new(8);
         for i in 0..5u64 {
-            q.push(i, 0).expect("push");
+            q.push(i).expect("push");
         }
         for i in 0..5u64 {
-            assert_eq!(q.pop(0), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
     }
 
     #[test]
     fn close_drains_then_returns_none() {
-        let q = ShardedQueue::new(2, 4);
-        q.push(1u64, 1).expect("push");
+        let q = BoundedQueue::new(8);
+        q.push(1u64).expect("push");
         q.close();
-        assert_eq!(q.push(2, 2), Err(PushError::Closed));
-        assert_eq!(q.pop(0), Some(1), "queued work still drains after close");
-        assert_eq!(q.pop(0), None, "closed and empty");
+        assert_eq!(q.push(2), Err(PushError::Closed));
+        assert_eq!(q.pop(), Some(1), "queued work still drains after close");
+        assert_eq!(q.pop(), None, "closed and empty");
     }
 
     #[test]
-    fn concurrent_producers_and_stealing_consumers_lose_nothing() {
-        let q = Arc::new(ShardedQueue::<u64>::new(4, 64));
-        let seen = Arc::new(AtomicUsize::new(0));
-        let consumers: Vec<_> = (0..3)
-            .map(|w| {
-                let q = Arc::clone(&q);
-                let seen = Arc::clone(&seen);
-                std::thread::spawn(move || {
-                    while q.pop(w).is_some() {
-                        seen.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        let total = 200u64;
-        let mut pushed = 0usize;
-        for i in 0..total {
-            // Retry on Full: consumers are draining concurrently.
-            loop {
-                match q.push(i, i) {
-                    Ok(()) => {
-                        pushed += 1;
-                        break;
-                    }
-                    Err(PushError::Full) => std::thread::yield_now(),
-                    Err(PushError::Closed) => unreachable!(),
-                }
-            }
-        }
-        // Let consumers drain, then close.
-        while !q.is_empty() {
-            std::thread::yield_now();
-        }
-        q.close();
-        for c in consumers {
-            c.join().expect("consumer");
-        }
-        assert_eq!(seen.load(Ordering::Relaxed), pushed);
-    }
-
-    /// Regression for the CANCEL race: a popper that claimed the count
-    /// must always find an item, even while other threads push and pop
-    /// concurrently — nothing but `pop` may remove items, so no popper can
-    /// ever wedge in its shard scan and the count can never underflow.
-    #[test]
-    fn heavy_concurrent_push_pop_never_wedges_or_underflows() {
-        let q = Arc::new(ShardedQueue::<u64>::new(4, 16));
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        let q = Arc::new(BoundedQueue::<u64>::new(16));
         let seen = Arc::new(AtomicUsize::new(0));
         let consumers: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let q = Arc::clone(&q);
                 let seen = Arc::clone(&seen);
                 std::thread::spawn(move || {
-                    while q.pop(w).is_some() {
+                    while q.pop().is_some() {
                         seen.fetch_add(1, Ordering::Relaxed);
                     }
                 })
@@ -271,8 +185,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut pushed = 0usize;
                     for i in 0..500u64 {
+                        // Retry on Full: consumers are draining concurrently.
                         loop {
-                            match q.push(p * 1_000 + i, i) {
+                            match q.push(p * 1_000 + i) {
                                 Ok(()) => {
                                     pushed += 1;
                                     break;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!  clients ──► listener ──► event loop (poll-based, single thread)
-//!                               │ SUBMIT → JobTable + ShardedQueue
+//!                               │ SUBMIT → JobTable + BoundedQueue
 //!                               │             │ (bounded; Full → REJECTED)
 //!                               │             ▼
 //!                               │        executor threads (fixed set)
@@ -35,7 +35,7 @@ use crate::http;
 use crate::job::{state, unix_ms_now, JobId, JobOutcome, JobTable};
 use crate::poll::{self, Interest};
 use crate::proto::{self, reject, Frame, JobKind, JobSpec, ProtoError};
-use crate::queue::{PushError, ShardedQueue};
+use crate::queue::{BoundedQueue, PushError};
 use crate::wal::Wal;
 
 /// Server configuration.
@@ -48,10 +48,8 @@ pub struct ServeConfig {
     pub executors: usize,
     /// Inner solver threads per job when the spec leaves `threads` at 0.
     pub inner_threads: usize,
-    /// Queue shards.
-    pub shards: usize,
-    /// Queued jobs per shard before SUBMITs bounce with QUEUE_FULL.
-    pub shard_depth: usize,
+    /// Queued jobs before SUBMITs bounce with QUEUE_FULL.
+    pub queue_depth: usize,
     /// Per-frame payload cap (also the HTTP body cap).
     pub max_frame: usize,
     /// Idle window after which a stalled (slow-loris) connection is
@@ -89,8 +87,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             executors: 0,
             inner_threads: 0,
-            shards: 4,
-            shard_depth: 16,
+            queue_depth: 64,
             max_frame: proto::MAX_FRAME,
             idle_timeout: Duration::from_secs(10),
             tick: Duration::from_millis(5),
@@ -172,7 +169,7 @@ impl Server {
         std::fs::create_dir_all(&cfg.data_dir)?;
 
         let table = Arc::new(JobTable::new());
-        let queue = Arc::new(ShardedQueue::<JobId>::new(cfg.shards, cfg.shard_depth));
+        let queue = Arc::new(BoundedQueue::<JobId>::new(cfg.queue_depth));
         let admission = Arc::new(Admission::new(cfg.max_inflight_cost));
 
         // Replay the write-ahead journal before accepting traffic: every
@@ -217,8 +214,8 @@ impl Server {
                     job.accepted_unix_ms,
                     cost,
                 );
-                if queue.push(job.id, job.id).is_err() {
-                    // More recovered work than shard capacity: park the
+                if queue.push(job.id).is_err() {
+                    // More recovered work than queue capacity: park the
                     // overflow; the sweep re-enqueues it as slots free up.
                     table.schedule_retry(job.id, Instant::now());
                 }
@@ -281,7 +278,7 @@ struct EventLoop {
     listener: TcpListener,
     conns: Vec<Conn>,
     table: Arc<JobTable>,
-    queue: Arc<ShardedQueue<JobId>>,
+    queue: Arc<BoundedQueue<JobId>>,
     stop: Arc<AtomicBool>,
     draining: bool,
     wal: Arc<Wal>,
@@ -455,9 +452,9 @@ impl EventLoop {
                 }
             }
             Frame::Cancel(job) => {
-                // Cancellation is logical only: the id stays queued (no
-                // popper/cancel race on the shard counts) and the executor
-                // that pops it discards it when its claim fails.
+                // Cancellation is logical only: the id stays queued and
+                // the executor that pops it discards it when its claim
+                // fails.
                 if self.table.cancel(job) {
                     // Journalled (fsynced) before the CANCELLED ack below,
                     // so a restart never re-runs a job the client was told
@@ -533,7 +530,7 @@ impl EventLoop {
             }
             return Err((reject::BAD_REQUEST, format!("journal write failed: {e}")));
         }
-        match self.queue.push(id, id) {
+        match self.queue.push(id) {
             Ok(()) => {
                 if !telemetry::disabled() {
                     telemetry::counter("serve.jobs.accepted").inc();
@@ -553,7 +550,7 @@ impl EventLoop {
                 match e {
                     PushError::Full => Err((
                         reject::QUEUE_FULL,
-                        format!("queue shard full (capacity {})", self.queue.capacity()),
+                        format!("queue full (capacity {})", self.queue.capacity()),
                     )),
                     PushError::Closed => Err((reject::DRAINING, "server is draining".into())),
                 }
@@ -653,7 +650,7 @@ impl EventLoop {
         if evicted > 0 && !telemetry::disabled() {
             telemetry::counter("serve.jobs.evicted").add(evicted as u64);
         }
-        // Backed-off retries whose stamps expired go back into the shard
+        // Backed-off retries whose stamps expired go back into the
         // queue; while draining they fail instead (the queue is closed
         // and nothing would ever run them).
         if self.draining {
@@ -664,8 +661,8 @@ impl EventLoop {
             }
         } else {
             for id in self.table.take_due_retries(now) {
-                if self.queue.push(id, id).is_err() {
-                    // Shards full right now: park it a little longer.
+                if self.queue.push(id).is_err() {
+                    // Queue full right now: park it a little longer.
                     self.table
                         .schedule_retry(id, now + Duration::from_millis(50));
                 }

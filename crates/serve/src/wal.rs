@@ -127,6 +127,28 @@ struct WalInner {
     live: BTreeMap<JobId, LiveJob>,
 }
 
+impl WalInner {
+    /// Appends one framed record to the live segment and fsyncs it when
+    /// `sync`. `seg_bytes` advances only once the write succeeded, so it
+    /// never counts bytes that are not in the file.
+    fn append(&mut self, bytes: &[u8], sync: bool) -> io::Result<()> {
+        self.file.write_all(bytes)?;
+        self.seg_bytes += bytes.len() as u64;
+        if sync {
+            self.file.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// [`append`](Self::append) for the callers with no one to hand an
+    /// error to: a failure is counted in `serve.wal.io_errors`.
+    fn append_counted(&mut self, bytes: &[u8], sync: bool) {
+        if self.append(bytes, sync).is_err() && !telemetry::disabled() {
+            telemetry::counter("serve.wal.io_errors").inc();
+        }
+    }
+}
+
 /// The write-ahead journal. One per server, shared by the event loop and
 /// the executors; all appends and the compaction run under one lock so
 /// the in-memory live set is always consistent with the bytes on disk.
@@ -530,9 +552,7 @@ impl Wal {
         let payload = accepted_payload(id, unix_ms, 0, Some(spec));
         let bytes = frame_record(rec::ACCEPTED, &payload);
         let mut inner = relock(&self.inner);
-        inner.file.write_all(&bytes)?;
-        inner.file.sync_data()?;
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append(&bytes, true)?;
         inner.live.insert(
             id,
             LiveJob {
@@ -557,8 +577,7 @@ impl Wal {
         p.extend_from_slice(&attempt.to_le_bytes());
         let bytes = frame_record(rec::RUNNING, &p);
         let mut inner = relock(&self.inner);
-        let _ = inner.file.write_all(&bytes);
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append_counted(&bytes, false);
         if let Some(j) = inner.live.get_mut(&id) {
             j.attempt = attempt;
             j.state = state::RUNNING;
@@ -573,8 +592,7 @@ impl Wal {
         p.extend_from_slice(&attempt.to_le_bytes());
         let bytes = frame_record(rec::REQUEUED, &p);
         let mut inner = relock(&self.inner);
-        let _ = inner.file.write_all(&bytes);
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append_counted(&bytes, false);
         if let Some(j) = inner.live.get_mut(&id) {
             j.attempt = attempt;
             j.state = state::QUEUED;
@@ -592,9 +610,7 @@ impl Wal {
         put_str(&mut p, &outcome.stats);
         let bytes = frame_record(rec::DONE, &p);
         let mut inner = relock(&self.inner);
-        let _ = inner.file.write_all(&bytes);
-        let _ = inner.file.sync_data();
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append_counted(&bytes, true);
         if let Some(j) = inner.live.get_mut(&id) {
             j.state = state::DONE;
             j.outcome = Some(outcome.clone());
@@ -610,9 +626,7 @@ impl Wal {
         put_str(&mut p, error);
         let bytes = frame_record(rec::FAILED, &p);
         let mut inner = relock(&self.inner);
-        let _ = inner.file.write_all(&bytes);
-        let _ = inner.file.sync_data();
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append_counted(&bytes, true);
         if let Some(j) = inner.live.get_mut(&id) {
             j.state = state::FAILED;
             j.error = Some(error.to_string());
@@ -624,9 +638,7 @@ impl Wal {
     pub fn append_cancelled(&self, id: JobId) {
         let bytes = frame_record(rec::CANCELLED, &id.to_le_bytes());
         let mut inner = relock(&self.inner);
-        let _ = inner.file.write_all(&bytes);
-        let _ = inner.file.sync_data();
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append_counted(&bytes, true);
         inner.live.remove(&id);
     }
 
@@ -635,8 +647,7 @@ impl Wal {
     pub fn append_delivered(&self, id: JobId) {
         let bytes = frame_record(rec::DELIVERED, &id.to_le_bytes());
         let mut inner = relock(&self.inner);
-        let _ = inner.file.write_all(&bytes);
-        inner.seg_bytes += bytes.len() as u64;
+        inner.append_counted(&bytes, false);
         let gone = inner.live.get(&id).is_some_and(LiveJob::terminal);
         if gone {
             inner.live.remove(&id);
@@ -859,6 +870,31 @@ mod tests {
             "compaction of an empty live set is near-empty, got {}",
             wal.current_segment_len()
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_appends_do_not_advance_the_segment_length() {
+        let dir = temp_dir("rofail");
+        let (wal, _, _) = Wal::open(&dir, 1 << 20).expect("open");
+        wal.append_accepted(1, 1, &spec("DESIGN a ; END"))
+            .expect("a");
+        // Swap the live segment's handle for a read-only one: every
+        // write from here on fails.
+        let read_only = File::open(wal.current_segment_path()).expect("reopen read-only");
+        relock(&wal.inner).file = read_only;
+        let before = wal.current_segment_len();
+        wal.append_done(1, &outcome("DESIGN out ; END"));
+        assert_eq!(
+            wal.current_segment_len(),
+            before,
+            "a failed append must not count its bytes"
+        );
+        assert!(
+            wal.append_accepted(2, 2, &spec("DESIGN b ; END")).is_err(),
+            "a failed acceptance must reach the caller"
+        );
+        assert_eq!(wal.current_segment_len(), before);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -65,11 +65,10 @@ fn loopback_job_round_trip_and_graceful_shutdown() {
 
 #[test]
 fn sixty_four_concurrent_sessions_none_wedged() {
-    // Capacity 16x16 = 256: all 64 jobs fit without backpressure, so
-    // every session must complete — a missing result is a wedge.
+    // Capacity 256: all 64 jobs fit without backpressure, so every
+    // session must complete — a missing result is a wedge.
     let (handle, dir) = start("many", |c| {
-        c.shards = 16;
-        c.shard_depth = 16;
+        c.queue_depth = 256;
     });
     let addr = handle.addr();
     let def = small_def(0.002);
@@ -124,8 +123,7 @@ fn result_is_byte_identical_alone_and_under_concurrency() {
 
     // Run it again while 8 other jobs churn on the same server.
     let (handle, dir) = start("det-busy", |c| {
-        c.shards = 8;
-        c.shard_depth = 8;
+        c.queue_depth = 64;
     });
     let addr = handle.addr();
     let churn: Vec<_> = (0..8)
@@ -348,11 +346,10 @@ fn oversized_frame_is_rejected_cleanly() {
 
 #[test]
 fn backpressure_rejects_with_queue_full() {
-    // One shard, depth 1, and a single executor: the first job occupies
-    // the executor, the second sits queued, the third must bounce.
+    // Queue depth 1 and a single executor: the first job occupies the
+    // executor, the second sits queued, the third must bounce.
     let (handle, dir) = start("busy", |c| {
-        c.shards = 1;
-        c.shard_depth = 1;
+        c.queue_depth = 1;
         c.executors = 1;
     });
     let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
@@ -376,7 +373,7 @@ fn backpressure_rejects_with_queue_full() {
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
-    assert!(rejected, "a full shard must answer QUEUE_FULL");
+    assert!(rejected, "a full queue must answer QUEUE_FULL");
     handle.shutdown_graceful();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -384,8 +381,7 @@ fn backpressure_rejects_with_queue_full() {
 #[test]
 fn cancel_stops_a_waiting_job_from_running() {
     let (handle, dir) = start("cancel", |c| {
-        c.shards = 1;
-        c.shard_depth = 4;
+        c.queue_depth = 4;
         c.executors = 1;
     });
     let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");

@@ -84,9 +84,9 @@ echo "==> fault-injection smoke: rlleg-fuzz --iters 200 --seed 7 --only fault"
 cargo run -q --release -p rlleg-fuzz -- --iters 200 --seed 7 --only fault
 
 # Fixed-seed parameter-store smoke: 200 iterations of the params oracle
-# alone (ParamStore seqlock under writer/reader contention: torn
-# snapshots, epoch/stamp coherence, monotone epochs). The store carries
-# the asynchronous trainer, so this runs unconditionally.
+# alone (ParamStore under writer/reader contention: torn snapshots,
+# epoch/stamp coherence, monotone epochs). The store carries the
+# asynchronous trainer, so this runs unconditionally.
 echo "==> param-store fuzz smoke: rlleg-fuzz --iters 200 --seed 3 --only params"
 cargo run -q --release -p rlleg-fuzz -- --iters 200 --seed 3 --only params
 
@@ -102,6 +102,16 @@ cargo run -q --release -p rlleg-fuzz -- --iters 100 --seed 1 --only wal
 # every acknowledged job over HTTP — zero lost, zero divergent.
 echo "==> recover smoke: rlleg-serve --recover-smoke"
 cargo run -q --release -p rlleg-serve -- --recover-smoke
+
+# Small load smoke of all three loadgen phases, run unconditionally: every
+# closed-loop job must complete, overload must trip admission (shedding
+# or QUEUE_FULL, each answered by client backoff) and lose nothing, and
+# the kill/restart audit must lose and diverge nothing. About 3 s in
+# release. The snapshot goes to target/ like the other smokes;
+# BENCH_serve.json stays the full-shape artifact of the bench guard below.
+echo "==> serve load smoke: rlleg-serve --loadgen --sessions 8 --jobs 2"
+cargo run -q --release -p rlleg-serve -- --loadgen --sessions 8 --jobs 2 \
+  --rc-sessions 2 --rc-jobs 2 --out target/BENCH_serve_smoke.json
 
 # Fixed-seed global-placer fuzz smoke: 100 iterations of the gplace
 # oracle alone (finite on-die output, fixed cells pinned, non-increasing
