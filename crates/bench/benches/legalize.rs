@@ -8,9 +8,9 @@
 //! time, overflow-trajectory endpoints, and post-legalization HPWL from
 //! gplace vs the synthetic benchgen perturbation), batched vs per-state
 //! network evaluation, and async vs round-robin training throughput on a
-//! 10k-cell design. The custom `main` exports every measurement (mean ns)
-//! to `BENCH_legalize.json` at the repo root so the perf trajectory is
-//! diffable across PRs.
+//! 10k-cell design. The custom `main` writes every measurement to
+//! `BENCH_legalize.json` at the repo root as a typed
+//! `rlleg_bench::snapshot::Snapshot`: the QoR scalars, then the timings.
 //!
 //! CLI (after `cargo bench -p rlleg-bench --`):
 //!
@@ -26,6 +26,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use rl_legalizer::{train, CellWiseNet, RlConfig, Trainer};
+use rlleg_bench::snapshot::{Header, Kind, Snapshot};
 use rlleg_benchgen::{find_spec, generate, parse_cells};
 use rlleg_design::{metrics, CellId, Design};
 use rlleg_gplace::{place, GpConfig};
@@ -130,7 +131,7 @@ fn bench_full_legalize(c: &mut Criterion) {
 /// The scale curve: flat vs parallel legalization of des_perf_b_md1 grown
 /// to explicit cell-count presets. Every iteration asserts zero failed
 /// cells, so a run that trades completeness for speed fails the bench
-/// itself, not just the guard script.
+/// itself, not just the guard.
 fn bench_scale(c: &mut Criterion, max_cells: usize) {
     let mut group = c.benchmark_group("legalize_scale");
     group.sample_size(5);
@@ -185,9 +186,9 @@ fn bench_scale(c: &mut Criterion, max_cells: usize) {
 /// Analytical global placement at the scale-curve presets: wall time of
 /// the full `place` pipeline (quadratic solves + diffusion spreading +
 /// the legalization-aware finalist round) plus its bin-overflow trajectory
-/// endpoints as raw scalars. `bench_guard.sh` asserts the overflow
+/// endpoints as QoR records. `bench_guard` asserts the overflow
 /// decreases at 10k cells.
-fn bench_gplace(c: &mut Criterion, max_cells: usize) {
+fn bench_gplace(c: &mut Criterion, snap: &mut Snapshot, max_cells: usize) {
     let mut group = c.benchmark_group("gplace");
     group.sample_size(2);
     let spec = find_spec("des_perf_b_md1").expect("spec");
@@ -207,8 +208,10 @@ fn bench_gplace(c: &mut Criterion, max_cells: usize) {
         let stats = last.expect("bench ran");
         let start = stats.overflow.first().copied().unwrap_or(0.0);
         let end = stats.overflow.last().copied().unwrap_or(0.0);
-        criterion::record_value("gplace", format!("overflow_start/{label}"), start);
-        criterion::record_value("gplace", format!("overflow_end/{label}"), end);
+        for (what, value) in [("overflow_start", start), ("overflow_end", end)] {
+            let id = format!("{what}/{label}");
+            record_qor(snap, "gplace", &id, value, "fraction");
+        }
     }
     group.finish();
 }
@@ -216,9 +219,9 @@ fn bench_gplace(c: &mut Criterion, max_cells: usize) {
 /// The QoR comparison the placer exists for: legalize the same netlist
 /// once from the synthetic benchgen perturbation and once from the gplace
 /// output, and record post-legalization HPWL plus failed-cell counts as
-/// raw scalars. `bench_guard.sh` asserts zero failed cells from gplace
+/// QoR records. `bench_guard` asserts zero failed cells from gplace
 /// and a strictly lower HPWL than the synthetic baseline at 10k cells.
-fn bench_legalize_from_gp(c: &mut Criterion, max_cells: usize) {
+fn bench_legalize_from_gp(c: &mut Criterion, snap: &mut Snapshot, max_cells: usize) {
     let mut group = c.benchmark_group("legalize_from_gp");
     group.sample_size(2);
     let spec = find_spec("des_perf_b_md1").expect("spec");
@@ -254,16 +257,13 @@ fn bench_legalize_from_gp(c: &mut Criterion, max_cells: usize) {
                     black_box(stats.legalized)
                 })
             });
-            criterion::record_value(
-                "legalize_from_gp",
-                format!("failed_{variant}/{label}"),
-                failed as f64,
-            );
-            criterion::record_value(
-                "legalize_from_gp",
-                format!("hpwl_{variant}/{label}"),
-                hpwl as f64,
-            );
+            for (what, value, unit) in [
+                ("failed", failed as f64, "cells"),
+                ("hpwl", hpwl as f64, "dbu"),
+            ] {
+                let id = format!("{what}_{variant}/{label}");
+                record_qor(snap, "legalize_from_gp", &id, value, unit);
+            }
         }
     }
     group.finish();
@@ -324,8 +324,8 @@ fn bench_inference(c: &mut Criterion) {
 /// policy forwards across Gcells, a shared locked parameter store) vs the
 /// deterministic round-robin `Trainer` on the same 10k-cell design and
 /// config. Both run `agents × episodes` full episodes, so mean time per
-/// iteration is directly comparable as steps/sec; `bench_guard.sh` asserts
-/// async ≥ round-robin whenever the host has ≥ 2 cores.
+/// iteration is directly comparable as steps/sec; `bench_guard` asserts
+/// async ≤ 1.05× round-robin, and ≤ round-robin on ≥ 2 cores.
 fn bench_train_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_throughput");
     group.sample_size(10);
@@ -353,6 +353,12 @@ fn bench_train_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Records a QoR scalar, panicking on a NaN or infinite value.
+fn record_qor(snap: &mut Snapshot, group: &str, id: &str, value: f64, unit: &str) {
+    snap.record(group, id, Kind::Qor, value, unit)
+        .unwrap_or_else(|e| panic!("{e}"));
+}
+
 criterion_group!(
     benches,
     bench_find_position,
@@ -378,16 +384,21 @@ fn main() {
     let path = value_of("--out").unwrap_or(default_out);
 
     let mut c = Criterion::default();
+    let mut snap = Snapshot::new(Header::current());
     if !only_scale && !only_gplace {
         benches();
     }
     if !only_scale {
-        bench_gplace(&mut c, max_cells);
-        bench_legalize_from_gp(&mut c, max_cells);
+        bench_gplace(&mut c, &mut snap, max_cells);
+        bench_legalize_from_gp(&mut c, &mut snap, max_cells);
     }
     if !only_gplace {
         bench_scale(&mut c, max_cells);
     }
-    criterion::export_json(&path).expect("write bench snapshot");
+    for r in criterion::records() {
+        snap.record(&r.group, &r.id, Kind::Time, r.mean_ns, "ns")
+            .expect("a measured time is finite");
+    }
+    snap.write(&path).expect("write bench snapshot");
     println!("wrote {path}");
 }

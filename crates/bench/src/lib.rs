@@ -3,10 +3,14 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md §4 for the index); this library holds what they
 //! share: baseline runners, result rows, normalized averages, the tiny
-//! CLI-flag parser, and JSON report output.
+//! CLI-flag parser, JSON report output, and the typed bench [`snapshot`]
+//! with the rules the `bench_guard` binary checks it against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod guard;
+pub mod snapshot;
 
 use std::time::Instant;
 

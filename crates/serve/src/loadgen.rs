@@ -89,11 +89,15 @@ pub struct OverloadReport {
     /// SHED rejections (admission control, with a retry-after hint).
     pub ov_shed: u64,
     /// QUEUE_FULL rejections (the queue's hard limit behind admission).
+    /// Reads 0 in the `--loadgen` overload phase: a queued job stays
+    /// charged to admission until it finishes, so under a budget of about
+    /// two jobs admission sheds long before the 8-deep queue fills. The
+    /// e2e test `backpressure_rejects_with_queue_full` pins QUEUE_FULL.
     pub ov_queue_full: u64,
     /// Accepted jobs that returned a terminal result.
     pub ov_completed: u64,
-    /// Accepted jobs that never returned a result — the invariant the
-    /// bench guard pins to zero: shedding may refuse work, never lose it.
+    /// Accepted jobs that never returned a result — the invariant
+    /// `--loadgen` asserts is zero: shedding may refuse work, never lose it.
     pub ov_jobs_lost: u64,
     /// Median latency of the *accepted* jobs (ms).
     pub ov_p50_ms: f64,
@@ -118,7 +122,7 @@ pub struct RecoveryReport {
     /// Acked-but-unread jobs that reached a terminal state after restart.
     pub rc_recovered_rerun: u64,
     /// Acknowledged jobs that vanished or never terminated after restart.
-    /// The bench guard pins this to zero.
+    /// `--loadgen` asserts this is zero.
     pub jobs_lost: u64,
     /// Pre-kill results whose post-restart re-fetch differed — a job that
     /// ran twice to a different answer. Pinned to zero.

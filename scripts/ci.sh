@@ -97,18 +97,12 @@ cargo run -q --release -p rlleg-fuzz -- --iters 200 --seed 3 --only params
 echo "==> wal fuzz smoke: rlleg-fuzz --iters 100 --seed 1 --only wal"
 cargo run -q --release -p rlleg-fuzz -- --iters 100 --seed 1 --only wal
 
-# Kill/restart/recover smoke: submit a batch against a real server child,
-# SIGKILL it mid-flight, restart on the same data directory, and audit
-# every acknowledged job over HTTP — zero lost, zero divergent.
-echo "==> recover smoke: rlleg-serve --recover-smoke"
-cargo run -q --release -p rlleg-serve -- --recover-smoke
-
-# Small load smoke of all three loadgen phases, run unconditionally: every
-# closed-loop job must complete, overload must trip admission (shedding
-# or QUEUE_FULL, each answered by client backoff) and lose nothing, and
-# the kill/restart audit must lose and diverge nothing. About 3 s in
-# release. The snapshot goes to target/ like the other smokes;
-# BENCH_serve.json stays the full-shape artifact of the bench guard below.
+# Small load smoke of all three loadgen phases, run unconditionally (about
+# 3 s): every closed-loop job completes, overload sheds and loses nothing,
+# and the kill/restart audit of a server child loses and diverges nothing.
+# Overload never answers QUEUE_FULL, since a queued job stays charged to
+# admission's ~2-job budget; the e2e test backpressure_rejects_with_queue_full
+# pins QUEUE_FULL. The snapshot goes to target/ like the other smokes.
 echo "==> serve load smoke: rlleg-serve --loadgen --sessions 8 --jobs 2"
 cargo run -q --release -p rlleg-serve -- --loadgen --sessions 8 --jobs 2 \
   --rc-sessions 2 --rc-jobs 2 --out target/BENCH_serve_smoke.json
@@ -137,17 +131,21 @@ if [[ "${RLLEG_FUZZ_LONG:-0}" == "1" ]]; then
   cargo test -q --release -p rl-legalizer --test distributional -- --ignored
 fi
 
-# Opt-in performance gate: regenerate the bench snapshot and fail on the
-# two inversions the parallel runner and batched inference must never
-# reintroduce. Off by default — bench runs are too noisy for shared CI
-# machines unless explicitly requested.
+# Opt-in performance gate (bench runs are too noisy for shared CI machines
+# unless requested): regenerate both snapshots, then check the legalize one
+# with bench_guard, which requires gcell_parallel2 < flat, batched < per-state
+# values, a monotone scale curve, parallel <= 1.05x flat at every point,
+# falling gplace overflow with 0 failed cells and lower HPWL at 10k, and
+# async training <= 1.05x round-robin; when the snapshot header says nproc
+# >= 2, also parallel >= 2x faster than flat at 100k and async <= round-robin.
 if [[ "${RLLEG_BENCH_GUARD:-0}" == "1" ]]; then
-  echo "==> bench guard: cargo bench -p rlleg-bench && scripts/bench_guard.sh"
+  echo "==> bench snapshot: cargo bench -p rlleg-bench"
   cargo bench -p rlleg-bench
   echo "==> serve load snapshot: rlleg-serve --loadgen"
   cargo run -q --release -p rlleg-serve -- --loadgen --sessions 64 --jobs 4 \
     --out BENCH_serve.json
-  scripts/bench_guard.sh
+  echo "==> bench guard: cargo run -q --release -p rlleg-bench --bin bench_guard"
+  cargo run -q --release -p rlleg-bench --bin bench_guard
 fi
 
 echo "==> ci: all stages passed"
