@@ -22,19 +22,35 @@
 //! lowest-wirelength iterate whose overflow does not regress past the
 //! input's. The refined iterate then competes against the input and
 //! fine-grained spreads of itself in a legalization-aware finalist round:
-//! each is legalized on a clone with the deterministic Gcell legalizer and
-//! the lowest post-legalization wirelength wins. The input is always a
-//! finalist, so warm refinement never hands back a placement that
-//! legalizes worse than what it was given. **Cold construction**
+//! each is legalized with the deterministic Gcell legalizer and the lowest
+//! post-legalization wirelength wins. The input is always a finalist, so
+//! warm refinement never hands back a placement that legalizes worse than
+//! what it was given. **Cold construction**
 //! (`warm_start: false`) begins from the pure wirelength solve (a single
 //! collapsed cluster) and relies on the diffusion loop to disperse it,
 //! returning the lowest-overflow iterate.
 //!
 //! The overflow trajectory reported in [`GpStats`] tracks the best
 //! (lowest) overflow seen and is non-increasing by construction.
-//! Everything runs sequentially in `f64`: for a fixed [`GpConfig`]
-//! (including its seed) the output is bit-identical across runs and
-//! thread counts.
+//!
+//! Every anchored solve shares one matrix between the axes (springs and
+//! anchors weigh the same on either), refilled in place from a pattern and
+//! summation order planned once per call
+//! ([`netmodel::AnchoredSystem`]). All arithmetic is `f64`, and each solve,
+//! spread and trial legalization is sequential. When
+//! [`default_threads`](rlleg_legalize::pool::default_threads) is above 1,
+//! the X and Y solves, and the finalist round's two re-spreads, run in
+//! pairs on the calling thread and one scoped helper; each half computes
+//! exactly what it would alone. So for a fixed [`GpConfig`] (including its
+//! seed) the output is bit-identical across runs and thread counts.
+//!
+//! With telemetry on, `place` records the spans `gplace.place`,
+//! `gplace.solve` (one per anchored solve: matrix refill plus both PCG
+//! solves; cold construction's anchor-free first solve is one too),
+//! `gplace.spread` (one per outer iteration's spreading) and
+//! `gplace.finalist` (the whole finalist round), and counts the trial
+//! legalizations it ran on `gplace.finalist.trials` and the winning
+//! finalist's kind on `gplace.finalist.{input,refined,spread}`.
 //!
 //! # Example
 //!
@@ -59,9 +75,9 @@ use rand_chacha::ChaCha8Rng;
 
 use rlleg_design::Design;
 use rlleg_geom::Point;
-use rlleg_nn::sparse::pcg_solve;
+use rlleg_nn::sparse::{pcg_solve, Csr};
 
-use netmodel::{Axis, NetModel};
+use netmodel::{AnchoredSystem, Axis, NetModel};
 use spread::BinGrid;
 
 /// Tuning knobs for [`place`]. The defaults are sized for benchgen-scale
@@ -108,14 +124,16 @@ pub struct GpConfig {
     /// Diffusion-step cap per warm-start iteration; short spreads keep each
     /// round's targets close to the current iterate.
     pub warm_diffusion_steps: usize,
-    /// Legalization-aware finalist selection for warm starts: legalize a
-    /// clone of the design at each finalist placement (the input, the
-    /// refined iterate, and fine-grained spreads of it) with the
-    /// deterministic Gcell legalizer and keep the one with the lowest
-    /// post-legalization wirelength. Because the input is always a
-    /// finalist, warm refinement can never worsen the legalized result.
-    /// Disable to skip the extra legalizer runs and keep the refined
-    /// iterate unconditionally.
+    /// Legalization-aware finalist selection for warm starts: legalize
+    /// each finalist placement in turn on one clone of the design with the
+    /// deterministic Gcell legalizer, and keep the one with the lowest
+    /// post-legalization wirelength. The finalists are the input, the
+    /// refined iterate (only when an outer iteration replaced the input;
+    /// otherwise it is the input, whose tie the input wins anyway), and two
+    /// fine-grained spreads of it: three or four legalizations. Because the
+    /// input is always a finalist, warm refinement can never worsen the
+    /// legalized result. Disable to skip the extra legalizer runs and keep
+    /// the refined iterate unconditionally.
     pub legalize_eval: bool,
 }
 
@@ -172,7 +190,7 @@ pub struct GpStats {
 /// `legalized` flag). Fixed cells and pins are never moved.
 ///
 /// Deterministic: the same design and config produce a bit-identical
-/// placement regardless of thread count (the placer is sequential).
+/// placement regardless of thread count (see the crate docs).
 pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
     let _t = telemetry::span("gplace.place");
     let model = NetModel::build(design, cfg.star_crossover);
@@ -180,6 +198,7 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
     let n = model.num_vars();
     let m = model.num_cell_vars;
     let core = design.core;
+    let lanes = rlleg_legalize::pool::default_threads();
 
     let target_density = cfg
         .target_density
@@ -229,24 +248,30 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
     let eps = 1e-6;
     let eps_tx = vec![cx; n];
     let eps_ty = vec![cy; n];
-    let mut anchors_x = vec![(0.0f64, 0.0f64); n];
-    let mut anchors_y = vec![(0.0f64, 0.0f64); n];
-
-    let solve_axes = |anchors_x: &[(f64, f64)],
-                      anchors_y: &[(f64, f64)],
-                      xs: &mut Vec<f64>,
-                      ys: &mut Vec<f64>|
-     -> usize {
-        let (ax, bx) = model.assemble(Axis::X, anchors_x, eps, &eps_tx);
-        let sx = pcg_solve(&ax, &bx, xs, cfg.cg_tol, cfg.cg_max_iters);
-        let (ay, by) = model.assemble(Axis::Y, anchors_y, eps, &eps_ty);
-        let sy = pcg_solve(&ay, &by, ys, cfg.cg_tol, cfg.cg_max_iters);
-        sx.iterations + sy.iterations
+    // Both axes solve from the current iterate, the Y solve on a helper
+    // when there is a second lane; each is the same sequential PCG on
+    // either thread.
+    let solve_xy = |a: [&Csr; 2], b: [&[f64]; 2], xs: &mut [f64], ys: &mut [f64]| -> usize {
+        let solve = |a: &Csr, b: &[f64], x: &mut [f64]| {
+            pcg_solve(a, b, x, cfg.cg_tol, cfg.cg_max_iters).iterations
+        };
+        let (ix, iy) = join(lanes, || solve(a[0], b[0], xs), || solve(a[1], b[1], ys));
+        ix + iy
+    };
+    // Without anchors the triplet list lacks the anchor terms, and with
+    // them the summation order the anchored system was planned for, so
+    // the anchor-free system is assembled directly.
+    let solve_unanchored = |xs: &mut [f64], ys: &mut [f64]| -> usize {
+        let none = vec![(0.0, 0.0); n];
+        let (ax, bx) = model.assemble(Axis::X, &none, eps, &eps_tx);
+        let (ay, by) = model.assemble(Axis::Y, &none, eps, &eps_ty);
+        solve_xy([&ax, &ay], [&bx, &by], xs, ys)
     };
 
     if !warm {
         // Cold iteration 0: pure wirelength solve.
-        stats.cg_iterations += solve_axes(&anchors_x, &anchors_y, &mut xs, &mut ys);
+        let _s = telemetry::span("gplace.solve");
+        stats.cg_iterations += solve_unanchored(&mut xs, &mut ys);
     }
     clamp_vars(design, &hot, &model.var_of, &mut xs, &mut ys);
     // The exact starting placement, kept as the fallback finalist of warm
@@ -275,6 +300,8 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
     };
     let mut best_warm = (xs.clone(), ys.clone());
     let mut best_warm_ovf = init_overflow;
+    // Whether an iterate replaced the input as `best_warm`.
+    let mut refined = false;
 
     // Solve → spread loop. Each iteration diffuses the *current* iterate's
     // density toward feasibility (the spreader re-deposits every step, so
@@ -295,6 +322,9 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
     } else {
         cfg.anchor_base
     };
+    // Planned on the first anchored solve: anchors pull every cell
+    // variable, with one weight on both axes.
+    let mut system: Option<AnchoredSystem> = None;
     for _iter in 0..cfg.max_iterations {
         // Warm refinement keeps tightening wirelength even once feasible;
         // cold construction stops as soon as overflow reaches the target.
@@ -302,23 +332,32 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
             break;
         }
         stats.iterations += 1;
-        let (tx, ty) = grid.spread_targets(
-            design,
-            &hot,
-            &model.var_of,
-            &xs,
-            &ys,
-            &jitter,
-            steps,
-            1.0,
-            cfg.diffusion_nu,
-        );
-        for id in hot.movable_ids() {
-            let v = model.var_of[id.index()] as usize;
-            anchors_x[v] = (anchor_w, tx[v]);
-            anchors_y[v] = (anchor_w, ty[v]);
-        }
-        stats.cg_iterations += solve_axes(&anchors_x, &anchors_y, &mut xs, &mut ys);
+        let (tx, ty) = {
+            let _s = telemetry::span("gplace.spread");
+            grid.spread_targets(
+                design,
+                &hot,
+                &model.var_of,
+                &xs,
+                &ys,
+                &jitter,
+                steps,
+                1.0,
+                cfg.diffusion_nu,
+            )
+        };
+        stats.cg_iterations += {
+            let _s = telemetry::span("gplace.solve");
+            if anchor_w > 0.0 {
+                let system =
+                    system.get_or_insert_with(|| model.anchored_system(eps, [&eps_tx, &eps_ty]));
+                let (a, bx, by) = system.refill(anchor_w, &tx, &ty);
+                solve_xy([a, a], [bx, by], &mut xs, &mut ys)
+            } else {
+                // A weight that is not positive leaves every anchor out.
+                solve_unanchored(&mut xs, &mut ys)
+            }
+        };
         clamp_vars(design, &hot, &model.var_of, &mut xs, &mut ys);
         grid.deposit(design, &hot, &model.var_of, &xs, &ys);
         let ovf = grid.overflow();
@@ -332,6 +371,7 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
                 best_hpwl = h;
                 best_warm = (xs.clone(), ys.clone());
                 best_warm_ovf = ovf;
+                refined = true;
             }
         }
         stats.overflow.push(best_overflow);
@@ -342,27 +382,26 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
         best = best_warm;
         best_overflow = best_warm_ovf;
         if cfg.legalize_eval {
+            let _f = telemetry::span("gplace.finalist");
             // Legalization-aware finalist selection. The refined iterate
             // minimizes float wirelength subject to bin-level capacity, but
             // the bin metric is blind to intra-bin stacking — at some
             // scales the legalizer pays more resolving that than the
             // refinement saved. The only metric that settles it is the
-            // legalizer itself: run the deterministic Gcell legalizer on a
-            // clone at each finalist and keep the lowest post-legalization
+            // legalizer itself: run the deterministic Gcell legalizer at
+            // each finalist and keep the lowest post-legalization
             // wirelength (fewest failed cells first). Finalists are the
             // input (ties favor it, so refinement never worsens the
             // legalized result), the refined iterate, and fine-grained
             // diffusion spreads of it that trade wirelength for local
-            // decongestion.
-            let mut finalists: Vec<(&'static str, Vec<f64>, Vec<f64>)> = vec![
-                ("input", input_pos.0.clone(), input_pos.1.clone()),
-                ("refined", best.0.clone(), best.1.clone()),
-            ];
-            for (name, cells_per_bin) in [("spread_fine", 1.5f64), ("spread_local", 3.0)] {
+            // decongestion. When no iterate replaced the input, the
+            // refined iterate *is* the input, so its trial could only tie
+            // and lose; it is skipped.
+            let placed: &Design = design;
+            let spread = |cells_per_bin: f64| {
                 let fb = (((m as f64) / cells_per_bin).sqrt().ceil() as usize).clamp(4, 512);
-                let mut fg = BinGrid::new(design, fb, fb, target_density);
-                let (fx, fy) = fg.spread_targets(
-                    design,
+                BinGrid::new(placed, fb, fb, target_density).spread_targets(
+                    placed,
                     &hot,
                     &model.var_of,
                     &best.0,
@@ -371,13 +410,23 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
                     cfg.diffusion_steps,
                     1.0,
                     cfg.diffusion_nu,
-                );
-                finalists.push((name, fx, fy));
+                )
+            };
+            let (fine, local) = join(lanes, || spread(1.5), || spread(3.0));
+            let mut finalists = vec![("input", input_pos)];
+            if refined {
+                finalists.push(("refined", best));
             }
+            finalists.push(("spread_fine", fine));
+            finalists.push(("spread_local", local));
+            telemetry::counter("gplace.finalist.trials").add(finalists.len() as u64);
+            // Legalization writes only `pos` and `legalized`, and
+            // `write_positions` rewrites both (and `gp_pos`) on every
+            // movable cell, so one clone serves every trial.
+            let mut trial = design.clone();
             let mut win = 0usize;
             let mut best_key = (usize::MAX, i64::MAX);
-            for (i, (_, fx, fy)) in finalists.iter().enumerate() {
-                let mut trial = design.clone();
+            for (i, (_, (fx, fy))) in finalists.iter().enumerate() {
                 write_positions(&mut trial, &model.var_of, fx, fy);
                 let gcells = rlleg_legalize::GcellGrid::auto(&trial);
                 let mut lg = rlleg_legalize::Legalizer::new(&trial);
@@ -398,8 +447,7 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
                 "refined" => telemetry::counter("gplace.finalist.refined").add(1),
                 _ => telemetry::counter("gplace.finalist.spread").add(1),
             }
-            let (_, wx, wy) = finalists.swap_remove(win);
-            best = (wx, wy);
+            best = finalists.swap_remove(win).1;
             grid.deposit(design, &hot, &model.var_of, &best.0, &best.1);
             best_overflow = grid.overflow();
             // The trajectory reports feasibility progress (min-so-far); the
@@ -455,6 +503,20 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
     telemetry::counter("gplace.cg_iterations").add(stats.cg_iterations as u64);
     stats.hpwl = rlleg_design::metrics::total_hpwl(design);
     stats
+}
+
+/// Runs `a` on the calling thread and `b` on one scoped helper thread when
+/// `lanes > 1`, else both in turn. A panic on the helper is re-raised on
+/// the caller.
+fn join<A, B: Send>(lanes: usize, a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B) {
+    if lanes < 2 {
+        return (a(), b());
+    }
+    std::thread::scope(|s| {
+        let b = s.spawn(b);
+        let a = a();
+        (a, b.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+    })
 }
 
 /// Float HPWL over the real nets at the given variable positions (fixed

@@ -8,11 +8,14 @@
 //! assembly linear in the pin count.
 //!
 //! The x and y systems share the same spring topology and differ only in
-//! pin offsets and fixed-pin coordinates, so springs are built once and
-//! assembled per axis.
+//! pin offsets and fixed-pin coordinates, so springs are built once.
+//! [`NetModel::assemble`] builds one axis's system from scratch;
+//! [`NetModel::anchored_system`] plans the anchored system of both axes
+//! once, and [`AnchoredSystem::refill`] rebuilds it per anchor weight,
+//! bit-identical to `assemble`.
 
 use rlleg_design::{Design, Pin};
-use rlleg_nn::sparse::Csr;
+use rlleg_nn::sparse::{Csr, CsrPlan};
 
 /// One end of a spring: either a placer variable (movable cell or star
 /// node) plus a pin offset, or an absolute fixed coordinate pair.
@@ -155,11 +158,15 @@ impl NetModel {
 
     /// Assembles the quadratic system of one axis.
     ///
-    /// `axis_off(end)` selects the axis component of each end. `anchors` is
+    /// `axis` selects the component of each spring end. `anchors` is
     /// a per-variable `(weight, target)` pull (weight 0 disables); every
     /// variable additionally gets the weak `eps` anchor toward
     /// `eps_target[v]` so the matrix stays positive definite even for
     /// floating cells or components with no fixed pins.
+    ///
+    /// [`anchored_system`](Self::anchored_system) builds the same system
+    /// for anchors on every cell variable without re-sorting the matrix per
+    /// call; this is its oracle, and the path for anchor-free solves.
     pub fn assemble(
         &self,
         axis: Axis,
@@ -170,36 +177,8 @@ impl NetModel {
         let n = self.num_vars();
         assert_eq!(anchors.len(), n);
         assert_eq!(eps_target.len(), n);
-        let mut triplets: Vec<(u32, u32, f64)> = Vec::with_capacity(4 * self.springs.len() + n);
-        let mut rhs = vec![0.0f64; n];
-        let pick = |e: &SpringEnd| -> f64 {
-            match axis {
-                Axis::X => e.ox,
-                Axis::Y => e.oy,
-            }
-        };
-        for s in &self.springs {
-            let (oa, ob, w) = (pick(&s.a), pick(&s.b), s.w);
-            match (s.a.var, s.b.var) {
-                (Some(i), Some(j)) => {
-                    triplets.push((i, i, w));
-                    triplets.push((j, j, w));
-                    triplets.push((i, j, -w));
-                    triplets.push((j, i, -w));
-                    rhs[i as usize] += w * (ob - oa);
-                    rhs[j as usize] += w * (oa - ob);
-                }
-                (Some(i), None) => {
-                    triplets.push((i, i, w));
-                    rhs[i as usize] += w * (ob - oa);
-                }
-                (None, Some(j)) => {
-                    triplets.push((j, j, w));
-                    rhs[j as usize] += w * (oa - ob);
-                }
-                (None, None) => {}
-            }
-        }
+        let mut triplets = self.spring_triplets(n);
+        let mut rhs = self.spring_rhs(axis);
         for (v, &(w, t)) in anchors.iter().enumerate() {
             if w > 0.0 {
                 triplets.push((v as u32, v as u32, w));
@@ -211,6 +190,131 @@ impl NetModel {
             rhs[v] += eps * t;
         }
         (Csr::from_triplets(n, &triplets), rhs)
+    }
+
+    /// The springs' matrix triplets, with room for `extra` more. They are
+    /// the same on both axes.
+    fn spring_triplets(&self, extra: usize) -> Vec<(u32, u32, f64)> {
+        let mut triplets = Vec::with_capacity(4 * self.springs.len() + extra);
+        for s in &self.springs {
+            let w = s.w;
+            match (s.a.var, s.b.var) {
+                (Some(i), Some(j)) => {
+                    triplets.push((i, i, w));
+                    triplets.push((j, j, w));
+                    triplets.push((i, j, -w));
+                    triplets.push((j, i, -w));
+                }
+                (Some(i), None) => triplets.push((i, i, w)),
+                (None, Some(j)) => triplets.push((j, j, w)),
+                (None, None) => {}
+            }
+        }
+        triplets
+    }
+
+    /// The springs' part of one axis's right-hand side, summed per
+    /// variable in spring order.
+    fn spring_rhs(&self, axis: Axis) -> Vec<f64> {
+        let mut rhs = vec![0.0f64; self.num_vars()];
+        let pick = |e: &SpringEnd| -> f64 {
+            match axis {
+                Axis::X => e.ox,
+                Axis::Y => e.oy,
+            }
+        };
+        for s in &self.springs {
+            let (oa, ob, w) = (pick(&s.a), pick(&s.b), s.w);
+            if let Some(i) = s.a.var {
+                rhs[i as usize] += w * (ob - oa);
+            }
+            if let Some(j) = s.b.var {
+                rhs[j as usize] += w * (oa - ob);
+            }
+        }
+        rhs
+    }
+
+    /// Plans the system [`assemble`](Self::assemble) builds when every
+    /// cell variable (`0..num_cell_vars`) carries an anchor of one shared
+    /// positive weight and the star variables carry none, for both axes
+    /// at once. `eps` and `eps_target` are as for `assemble`, per axis.
+    ///
+    /// Such a system's matrix is the same on both axes (springs and
+    /// anchors weigh the same on either), and between anchor weights it
+    /// changes only in the cell variables' diagonals. So the matrix's
+    /// pattern and summation order are planned once ([`CsrPlan`]) and each
+    /// axis's spring part of the right-hand side is summed once; see
+    /// [`AnchoredSystem::refill`].
+    pub fn anchored_system(&self, eps: f64, eps_target: [&[f64]; 2]) -> AnchoredSystem {
+        let n = self.num_vars();
+        let m = self.num_cell_vars;
+        let mut triplets = self.spring_triplets(m + n);
+        let anchors = triplets.len()..triplets.len() + m;
+        // The anchor weights are refill terms: their values here are
+        // placeholders.
+        triplets.extend((0..m as u32).map(|v| (v, v, 1.0)));
+        triplets.extend((0..n as u32).map(|v| (v, v, eps)));
+        let plan = CsrPlan::new(n, &triplets, anchors);
+        let eps_rhs = eps_target.map(|t| {
+            assert_eq!(t.len(), n);
+            t.iter().map(|&t| eps * t).collect()
+        });
+        AnchoredSystem {
+            plan,
+            spring_rhs: [self.spring_rhs(Axis::X), self.spring_rhs(Axis::Y)],
+            eps_rhs,
+            rhs: [vec![0.0; n], vec![0.0; n]],
+            weights: vec![0.0; m],
+        }
+    }
+}
+
+/// The anchored system of one [`NetModel`] for both axes, planned by
+/// [`NetModel::anchored_system`].
+#[derive(Debug, Clone)]
+pub struct AnchoredSystem {
+    plan: CsrPlan,
+    /// Spring part of the right-hand side, per axis.
+    spring_rhs: [Vec<f64>; 2],
+    /// `eps * eps_target[v]`, per axis.
+    eps_rhs: [Vec<f64>; 2],
+    /// The right-hand sides of the last refill, per axis.
+    rhs: [Vec<f64>; 2],
+    /// The anchor weight of every cell variable, as the plan takes them.
+    weights: Vec<f64>,
+}
+
+impl AnchoredSystem {
+    /// The shared matrix and the X and Y right-hand sides for anchors of
+    /// weight `w` pulling each cell variable `v` toward `(tx[v], ty[v])`.
+    /// Bit-identical to [`NetModel::assemble`] on each axis with anchors
+    /// `(w, tx[v])` / `(w, ty[v])` on the cell variables and `(0, 0)` on
+    /// the stars.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `w > 0.0` (`assemble` leaves a non-positive anchor
+    /// out of the matrix, which changes its pattern), or unless `tx` and
+    /// `ty` hold one target per variable.
+    pub fn refill(&mut self, w: f64, tx: &[f64], ty: &[f64]) -> (&Csr, &[f64], &[f64]) {
+        assert!(w > 0.0, "anchor weight {w} is not positive");
+        let m = self.weights.len();
+        self.weights.fill(w);
+        for (axis, t) in [tx, ty].into_iter().enumerate() {
+            let rhs = &mut self.rhs[axis];
+            assert_eq!(t.len(), rhs.len(), "one target per variable");
+            for (v, r) in rhs.iter_mut().enumerate() {
+                // Summed as `assemble` sums it: springs, anchor, eps.
+                *r = self.spring_rhs[axis][v];
+                if v < m {
+                    *r += w * t[v];
+                }
+                *r += self.eps_rhs[axis][v];
+            }
+        }
+        let [bx, by] = &self.rhs;
+        (self.plan.refill(&self.weights), bx, by)
     }
 }
 
@@ -281,6 +385,70 @@ mod tests {
         // Star elimination is exact: cell positions agree across models.
         assert!((xc[0] - xs[0]).abs() < 1.0, "{} vs {}", xc[0], xs[0]);
         assert!((xc[1] - xs[1]).abs() < 1.0);
+    }
+
+    /// The planned system equals `assemble` on each axis, entry for entry
+    /// and bit for bit, across a run of growing anchor weights refilled
+    /// into one plan. des_perf_b_md1 has star nets and rows of more
+    /// triplets than the standard library's small-sort cutoff, where the
+    /// summation order of duplicate entries is not the triplet order.
+    #[test]
+    fn anchored_system_matches_assemble_bit_for_bit() {
+        let spec = rlleg_benchgen::find_spec("des_perf_b_md1")
+            .expect("table row")
+            .scaled_to(400);
+        let d = rlleg_benchgen::generate(&spec);
+        let m = NetModel::build(&d, 5);
+        let (n, cells) = (m.num_vars(), m.num_cell_vars);
+        assert!(m.num_stars > 0, "the case must exercise star nets");
+        let eps = 1e-6;
+        let eps_t = [vec![31_000.5; n], vec![-7.25; n]];
+        let mut sys = m.anchored_system(eps, [&eps_t[0], &eps_t[1]]);
+        // Targets of mixed magnitude, stars included (they must be ignored).
+        let t: [Vec<f64>; 2] = [
+            (0..n).map(|v| (v as f64 * 0.37).sin() * 1e5).collect(),
+            (0..n)
+                .map(|v| (v as f64 * 1.91).cos() * 3e4 + 0.1)
+                .collect(),
+        ];
+        // Triplets per matrix row: eps, plus two per spring end (one on
+        // the diagonal, one off it) or one for a spring to a fixed pin.
+        let mut terms = vec![1usize; n];
+        for s in &m.springs {
+            let per_end = if s.a.var.is_some() && s.b.var.is_some() {
+                2
+            } else {
+                1
+            };
+            for v in [s.a.var, s.b.var].into_iter().flatten() {
+                terms[v as usize] += per_end;
+            }
+        }
+        assert!(
+            terms.iter().any(|&t| t > 20),
+            "the case must have a row of more than 20 triplets"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut w = 0.6;
+        for _ in 0..8 {
+            let (a, bx, by) = sys.refill(w, &t[0], &t[1]);
+            let (a, b) = (a.clone(), [bx.to_vec(), by.to_vec()]);
+            for (axis, k) in [(Axis::X, 0), (Axis::Y, 1)] {
+                let anchors: Vec<(f64, f64)> = (0..n)
+                    .map(|v| if v < cells { (w, t[k][v]) } else { (0.0, 0.0) })
+                    .collect();
+                let (want_a, want_b) = m.assemble(axis, &anchors, eps, &eps_t[k]);
+                assert_eq!(a.nnz(), want_a.nnz(), "{axis:?} at w = {w}");
+                for r in 0..n {
+                    let (gc, gv) = a.row(r);
+                    let (wc, wv) = want_a.row(r);
+                    assert_eq!(gc, wc, "{axis:?} row {r} pattern at w = {w}");
+                    assert_eq!(bits(gv), bits(wv), "{axis:?} row {r} values at w = {w}");
+                }
+                assert_eq!(bits(&b[k]), bits(&want_b), "{axis:?} rhs at w = {w}");
+            }
+            w *= 1.6;
+        }
     }
 
     #[test]

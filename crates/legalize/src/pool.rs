@@ -1,8 +1,9 @@
 //! Worker-thread counts.
 //!
-//! The workspace parallelises in two places, the per-Gcell solves of
-//! [`Legalizer::run_gcells_parallel`](crate::Legalizer::run_gcells_parallel)
-//! and the agents of `rl_legalizer::train`, and both start
+//! The workspace parallelises in three places, the per-Gcell solves of
+//! [`Legalizer::run_gcells_parallel`](crate::Legalizer::run_gcells_parallel),
+//! the agents of `rl_legalizer::train` and the paired solves and
+//! re-spreads of `rlleg_gplace::place`, and each starts
 //! `std::thread::scope` threads per call. This module only decides how
 //! many: every "0 = default" thread knob resolves through
 //! [`default_threads`].

@@ -1,6 +1,7 @@
 //! Sparse linear algebra for the analytical global placer: a CSR matrix,
-//! sparse matrix-vector products, and a Jacobi-preconditioned conjugate
-//! gradient solver.
+//! a plan that rebuilds a CSR matrix whose terms change only in a few
+//! entries ([`CsrPlan`]), sparse matrix-vector products, and a
+//! Jacobi-preconditioned conjugate gradient solver.
 //!
 //! The placer's per-axis wirelength systems are symmetric positive definite
 //! graph Laplacians plus anchor diagonals, so CG with a diagonal (Jacobi)
@@ -25,55 +26,33 @@ pub struct Csr {
 impl Csr {
     /// Builds an `n x n` CSR matrix from triplets, summing duplicates.
     ///
+    /// Duplicates are summed left to right, in the order an unstable sort
+    /// of the row by column leaves them; [`CsrPlan`] reproduces that order.
+    ///
     /// # Panics
     ///
     /// Panics if any index is out of `0..n`.
     pub fn from_triplets(n: usize, triplets: &[(u32, u32, f64)]) -> Csr {
-        let mut counts = vec![0u32; n + 1];
-        for &(r, c, _) in triplets {
-            assert!((r as usize) < n && (c as usize) < n, "triplet out of range");
-            counts[r as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut col = vec![0u32; triplets.len()];
-        let mut val = vec![0.0f64; triplets.len()];
-        let mut cursor = counts.clone();
-        for &(r, c, v) in triplets {
-            let slot = cursor[r as usize] as usize;
-            col[slot] = c;
-            val[slot] = v;
-            cursor[r as usize] += 1;
-        }
-        // Sort each row by column and merge duplicates in place.
-        let mut out_col = Vec::with_capacity(col.len());
-        let mut out_val = Vec::with_capacity(val.len());
+        let mut col = Vec::with_capacity(triplets.len());
+        let mut val = Vec::with_capacity(triplets.len());
         let mut row_ptr = vec![0u32; n + 1];
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for r in 0..n {
-            let (lo, hi) = (counts[r] as usize, counts[r + 1] as usize);
-            scratch.clear();
-            scratch.extend(col[lo..hi].iter().copied().zip(val[lo..hi].iter().copied()));
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < scratch.len() {
-                let (c, mut v) = scratch[i];
-                i += 1;
-                while i < scratch.len() && scratch[i].0 == c {
-                    v += scratch[i].1;
-                    i += 1;
+        for_each_sorted_row(
+            n,
+            triplets,
+            |k| triplets[k].2,
+            |r, row| {
+                for run in row.chunk_by(|a, b| a.0 == b.0) {
+                    col.push(run[0].0);
+                    val.push(left_fold(run.iter().map(|e| e.1)));
                 }
-                out_col.push(c);
-                out_val.push(v);
-            }
-            row_ptr[r + 1] = out_col.len() as u32;
-        }
+                row_ptr[r + 1] = col.len() as u32;
+            },
+        );
         Csr {
             n,
             row_ptr,
-            col: out_col,
-            val: out_val,
+            col,
+            val,
         }
     }
 
@@ -85,6 +64,16 @@ impl Csr {
     /// Stored non-zero count.
     pub fn nnz(&self) -> usize {
         self.col.len()
+    }
+
+    /// The stored columns of row `r` (ascending) and their values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= n`.
+    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+        (&self.col[lo..hi], &self.val[lo..hi])
     }
 
     /// `y = A x` (sequential, deterministic).
@@ -117,6 +106,165 @@ impl Csr {
             }
         }
         d
+    }
+}
+
+/// Scatters `triplets` into their rows (triplet order within a row), sorts
+/// each row by column and hands it to `visit(row, entries)` as
+/// `(col, payload(k))` pairs, `k` being the triplet's index.
+///
+/// [`Csr::from_triplets`] carries the values and [`CsrPlan::new`] carries
+/// each triplet's index in the `f64`'s bits. Both must go through this one
+/// `sort_unstable_by_key` call on this one `(u32, f64)` element type:
+/// which of two equal columns comes first after an unstable sort depends
+/// on the algorithm the standard library picks for the element type (and
+/// on the row length, but not on the payload, since only keys are
+/// compared), and that order is the order duplicates are summed in, so a
+/// different one can change the last bit of an entry.
+fn for_each_sorted_row(
+    n: usize,
+    triplets: &[(u32, u32, f64)],
+    payload: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(usize, &[(u32, f64)]),
+) {
+    let mut counts = vec![0u32; n + 1];
+    for &(r, c, _) in triplets {
+        assert!((r as usize) < n && (c as usize) < n, "triplet out of range");
+        counts[r as usize + 1] += 1;
+    }
+    for i in 0..n {
+        counts[i + 1] += counts[i];
+    }
+    let mut col = vec![0u32; triplets.len()];
+    let mut val = vec![0.0f64; triplets.len()];
+    let mut cursor = counts.clone();
+    for (k, &(r, c, _)) in triplets.iter().enumerate() {
+        let slot = cursor[r as usize] as usize;
+        col[slot] = c;
+        val[slot] = payload(k);
+        cursor[r as usize] += 1;
+    }
+    let mut scratch: Vec<(u32, f64)> = Vec::new();
+    for r in 0..n {
+        let (lo, hi) = (counts[r] as usize, counts[r + 1] as usize);
+        scratch.clear();
+        scratch.extend(col[lo..hi].iter().copied().zip(val[lo..hi].iter().copied()));
+        scratch.sort_unstable_by_key(|&(c, _)| c);
+        visit(r, &scratch);
+    }
+}
+
+/// `((t0 + t1) + t2) + ...`, the summation order of a stored entry.
+fn left_fold(mut terms: impl Iterator<Item = f64>) -> f64 {
+    let first = terms.next().expect("a stored entry has a term");
+    terms.fold(first, |acc, t| acc + t)
+}
+
+/// A CSR matrix whose pattern and summation order are fixed once for a
+/// triplet list, so that a matrix differing only in some terms' values
+/// can be rebuilt by rewriting just the entries those terms land in.
+///
+/// The *refill terms* are a contiguous range of the triplet list, at most
+/// one per stored entry. Every other term keeps the value it had when the
+/// plan was made. [`refill`](Self::refill) with new values for the refill
+/// terms yields the matrix [`Csr::from_triplets`] builds from the same
+/// list carrying those values, bit for bit. Per refilled entry the plan
+/// keeps only the left-fold of the terms summed before the refill term
+/// and the terms summed after it.
+#[derive(Debug, Clone)]
+pub struct CsrPlan {
+    csr: Csr,
+    slots: Vec<RefillSlot>,
+    /// Terms summed after each slot's refill term, slot after slot.
+    tails: Vec<f64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct RefillSlot {
+    /// Index into the matrix's values.
+    slot: u32,
+    /// Index of the refill term within the refill range.
+    term: u32,
+    /// Left-fold of the terms summed before the refill term, if any.
+    head: Option<f64>,
+    /// End of this slot's terms in [`CsrPlan::tails`].
+    tail_end: u32,
+}
+
+impl CsrPlan {
+    /// Plans the `n x n` matrix of `triplets`, with `triplets[refill]` as
+    /// the refill terms (their values here are ignored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of `0..n`, if `refill` is not inside the
+    /// list, or if two refill terms land in the same entry.
+    pub fn new(n: usize, triplets: &[(u32, u32, f64)], refill: std::ops::Range<usize>) -> CsrPlan {
+        assert!(refill.end <= triplets.len(), "refill range out of the list");
+        let mut col = Vec::new();
+        let mut val = Vec::new();
+        let mut row_ptr = vec![0u32; n + 1];
+        let mut slots = Vec::with_capacity(refill.len());
+        let mut tails = Vec::new();
+        for_each_sorted_row(
+            n,
+            triplets,
+            |k| f64::from_bits(k as u64),
+            |r, row| {
+                for run in row.chunk_by(|a, b| a.0 == b.0) {
+                    let index = |e: &(u32, f64)| e.1.to_bits() as usize;
+                    let term = |e: &(u32, f64)| triplets[index(e)].2;
+                    col.push(run[0].0);
+                    let Some(p) = run.iter().position(|e| refill.contains(&index(e))) else {
+                        val.push(left_fold(run.iter().map(term)));
+                        continue;
+                    };
+                    assert!(
+                        !run[p + 1..].iter().any(|e| refill.contains(&index(e))),
+                        "two refill terms in one entry"
+                    );
+                    tails.extend(run[p + 1..].iter().map(term));
+                    slots.push(RefillSlot {
+                        slot: val.len() as u32,
+                        term: (index(&run[p]) - refill.start) as u32,
+                        head: (p > 0).then(|| left_fold(run[..p].iter().map(term))),
+                        tail_end: tails.len() as u32,
+                    });
+                    // Written by every refill before the matrix is handed out.
+                    val.push(f64::NAN);
+                }
+                row_ptr[r + 1] = col.len() as u32;
+            },
+        );
+        CsrPlan {
+            csr: Csr {
+                n,
+                row_ptr,
+                col,
+                val,
+            },
+            slots,
+            tails,
+        }
+    }
+
+    /// Rewrites the refilled entries for `values` (one per refill term, in
+    /// the order of the refill range) and returns the matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold one value per refill term.
+    pub fn refill(&mut self, values: &[f64]) -> &Csr {
+        assert_eq!(values.len(), self.slots.len(), "one value per refill term");
+        let mut lo = 0;
+        for s in &self.slots {
+            let hi = s.tail_end as usize;
+            let r = values[s.term as usize];
+            let head = s.head.map_or(r, |h| h + r);
+            self.csr.val[s.slot as usize] = self.tails[lo..hi].iter().fold(head, |acc, t| acc + t);
+            lo = hi;
+        }
+        &self.csr
     }
 }
 
@@ -216,6 +364,70 @@ fn norm2(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Values of mixed sign and binary exponent, with both zeros: summing
+    /// them in a different order changes low bits, and `-0.0 + -0.0`
+    /// differs from `0.0 + -0.0`.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        (0u8..6, -4.0f64..4.0, -30i32..30).prop_map(|(k, x, e)| match k {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x * 2f64.powi(e),
+        })
+    }
+
+    fn assert_bits_eq(got: &Csr, want: &Csr) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got.row_ptr, &want.row_ptr);
+        prop_assert_eq!(&got.col, &want.col);
+        let bits = |c: &Csr| c.val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(got), bits(want));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On random triplet lists with few columns per row (so rows run to
+        /// dozens of entries, past the standard library's small-sort
+        /// cutoff, and duplicates are common), a plan refilled twice with
+        /// new values equals `from_triplets` on the list carrying them.
+        #[test]
+        fn plan_refill_matches_from_triplets_bit_for_bit(
+            n in 1usize..6,
+            before in prop::collection::vec((0u32..6, 0u32..6, arb_value()), 0..160),
+            after in prop::collection::vec((0u32..6, 0u32..6, arb_value()), 0..160),
+            refills in prop::collection::vec(
+                (any::<bool>(), 0u32..6, arb_value(), arb_value()),
+                6..7,
+            ),
+        ) {
+            let nu = n as u32;
+            let wrap = |t: &[(u32, u32, f64)]| -> Vec<(u32, u32, f64)> {
+                t.iter().map(|&(r, c, v)| (r % nu, c % nu, v)).collect()
+            };
+            let (before, after) = (wrap(&before), wrap(&after));
+            // At most one refill term per row, so never two in one entry.
+            let rows: Vec<(u32, u32, [f64; 2])> = (0..nu)
+                .filter(|&r| refills[r as usize].0)
+                .map(|r| {
+                    let (_, c, v0, v1) = refills[r as usize];
+                    (r, c % nu, [v0, v1])
+                })
+                .collect();
+            let list = |round: usize| -> Vec<(u32, u32, f64)> {
+                let mid = rows.iter().map(|&(r, c, v)| (r, c, v[round]));
+                before.iter().copied().chain(mid).chain(after.iter().copied()).collect()
+            };
+            let range = before.len()..before.len() + rows.len();
+            let mut plan = CsrPlan::new(n, &list(0), range);
+            for round in 0..2 {
+                let values: Vec<f64> = rows.iter().map(|r| r.2[round]).collect();
+                let got = plan.refill(&values).clone();
+                assert_bits_eq(&got, &Csr::from_triplets(n, &list(round)))?;
+            }
+        }
+    }
 
     #[test]
     fn csr_sums_duplicates_and_multiplies() {

@@ -4,10 +4,14 @@
 //! The executor set is created once at server start — requests never get
 //! threads of their own. Inside a job, a legalization whose Gcell grid
 //! spans several coarse tiles starts scoped helper threads for that solve
-//! (at most 8 for an auto grid), which end with it; every single-tile job
-//! runs on its executor thread alone. Every job runs under
-//! `catch_unwind`: a panicking job (including injected chaos kills) fails
-//! *that job* with a FAILED state and an error message, never the server.
+//! (at most 8 for an auto grid), which end with it, and a global placement
+//! starts one scoped helper for its paired X/Y solves and finalist
+//! spreads when [`default_threads`](rlleg_legalize::pool::default_threads)
+//! is above 1; every other single-tile job runs on its executor thread
+//! alone. A helper's panic is re-raised on the executor thread, so every
+//! job still runs under one `catch_unwind`: a panicking job (including
+//! injected chaos kills) fails *that job* with a FAILED state and an error
+//! message, never the server.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;

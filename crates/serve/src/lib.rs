@@ -5,7 +5,8 @@
 //! same port) and runs them as jobs on a fixed executor set — concurrent
 //! sessions never spawn per-request threads; only a legalization whose
 //! Gcell grid spans several coarse tiles starts scoped helpers for its
-//! solve. The whole stack is built from the standard library: readiness
+//! solve, and a global placement one helper when there is a second lane.
+//! The whole stack is built from the standard library: readiness
 //! comes from `poll(2)` declared directly ([`poll`]), so the workspace's
 //! zero-new-dependency rule holds.
 //!

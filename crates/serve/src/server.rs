@@ -8,15 +8,15 @@
 //!                               │             │ (bounded; Full → REJECTED)
 //!                               │             ▼
 //!                               │        executor threads (fixed set)
-//!                               │             │ multi-tile solve → scoped helpers
+//!                               │             │ multi-tile solve, gplace → scoped helpers
 //!                               │             ▼
 //!                               └──◄── progress / results (per-conn cursors)
 //! ```
 //!
 //! The loop never blocks on a socket and never spawns a thread: readiness
 //! comes from [`crate::poll::wait`], compute happens on the executor set
-//! created at startup (a multi-tile solve adds scoped helpers that end
-//! with it). Graceful shutdown closes the queue, lets queued and running
+//! created at startup (a multi-tile solve or a global placement adds
+//! scoped helpers that end with it). Graceful shutdown closes the queue, lets queued and running
 //! jobs finish, and streams their results to subscribers. A result
 //! nobody collected stays live in the write-ahead journal, so a restart on
 //! the same `data_dir` serves it, exactly as after a crash.

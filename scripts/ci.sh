@@ -114,6 +114,17 @@ cargo run -q --release -p rlleg-serve -- --loadgen --sessions 8 --jobs 2 \
 echo "==> gplace fuzz smoke: rlleg-fuzz --iters 100 --seed 1 --only gplace"
 cargo run -q --release -p rlleg-fuzz -- --iters 100 --seed 1 --only gplace
 
+# The placer runs its X/Y solves and finalist re-spreads in pairs on a
+# scoped helper only when more than one lane is available, so a default
+# run takes the one-lane path on a 1-core host and the two-lane path on
+# any other. Run the pinned place() digests and the gplace fuzz smoke on
+# both paths, so each meets the same constants on every host.
+for lanes in 1 2; do
+  echo "==> gplace lanes: RLLEG_THREADS=$lanes digests + rlleg-fuzz --only gplace"
+  RLLEG_THREADS=$lanes cargo test -q -p rlleg-gplace --test digests
+  RLLEG_THREADS=$lanes cargo run -q --release -p rlleg-fuzz -- --iters 100 --seed 1 --only gplace
+done
+
 if [[ "${RLLEG_FUZZ_LONG:-0}" == "1" ]]; then
   echo "==> fuzz long: rlleg-fuzz --iters 1000, seeds 1-4"
   for s in 1 2 3 4; do
