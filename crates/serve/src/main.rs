@@ -68,11 +68,12 @@ fn serve_main(args: &Args) {
     if cfg.addr == "127.0.0.1:0" {
         cfg.addr = args.get("addr", "127.0.0.1:7878".to_string());
     }
+    // Installed before the start, so the journal records the replay.
+    let journalling = install_journal_from(args);
     let handle = Server::start(cfg).expect("start server");
     println!("rlleg-serve listening on {}", handle.addr());
     println!("  binary protocol: frame magic RLSF; HTTP: GET /healthz, POST /jobs");
     println!("  send a SHUTDOWN frame to drain and exit");
-    let journalling = install_journal_from(args);
     // The kill/restart harness reads this banner over a pipe; without an
     // explicit flush a SIGKILL'd child may never have surfaced it.
     use std::io::Write as _;
@@ -295,6 +296,7 @@ fn loadgen_main(args: &Args) {
     assert_recovery_clean(&recovery);
 
     let bench = ServeBench {
+        header: rlleg_bench::snapshot::Header::current(),
         closed_loop,
         overload,
         recovery,

@@ -1,4 +1,5 @@
-//! The `rlleg-serve` wire protocol: CRC-framed, length-prefixed messages.
+//! The `rlleg-serve` wire protocol: CRC-framed, length-prefixed messages,
+//! and the framing it shares with the write-ahead journal.
 //!
 //! Every message is one frame:
 //!
@@ -9,12 +10,18 @@
 //! +-------+------+-------------+-----------+----------------+
 //! ```
 //!
-//! The CRC (same IEEE CRC-32 as the PR-5 checkpoint codec,
+//! The CRC (the IEEE CRC-32 of the checkpoint codec,
 //! [`rl_legalizer::crc32`]) covers the payload only, so a torn or
 //! bit-flipped frame is *detected*, never guessed around. `payload_len` is
 //! validated against a caller-supplied cap before any allocation: a header
 //! declaring a multi-gigabyte payload is rejected as
 //! [`ProtoError::Oversized`] without buffering a single payload byte.
+//!
+//! Journal records ([`crate::wal`]) use the same header under their own
+//! magic (`RLWJ`) and no payload cap. One crate-private codec writes and
+//! checks that header for both, and both read payloads with its
+//! bounds-checked reader and write text with its `put_str`; each payload
+//! layout still lives in its own codec, so the two formats can diverge.
 //!
 //! Decoding is strict: unknown frame types, short payloads, trailing
 //! payload bytes, and non-UTF-8 text blocks are all hard errors. The fuzz
@@ -26,7 +33,8 @@ use rl_legalizer::crc32;
 /// Frame magic: "RLSF" (RL-legalizer Serve Frame).
 pub const MAGIC: [u8; 4] = *b"RLSF";
 
-/// Fixed frame header: magic (4) + type (1) + payload length (4) + CRC (4).
+/// Fixed header of every wire frame and journal record: magic (4) + type
+/// (1) + payload length (4) + CRC (4).
 pub const HEADER_LEN: usize = 13;
 
 /// Default cap on a single frame payload (16 MiB). Servers may configure a
@@ -250,7 +258,8 @@ pub enum ProtoError {
         /// Minimum total bytes the frame requires.
         needed: usize,
     },
-    /// The first four bytes are not [`MAGIC`].
+    /// The first four bytes are not the expected magic ([`MAGIC`] for a
+    /// wire frame).
     BadMagic,
     /// The type byte names no known frame.
     UnknownType(u8),
@@ -300,21 +309,66 @@ impl ProtoError {
 }
 
 // ---------------------------------------------------------------------------
-// Payload reader/writer
+// Framing shared with the journal: header codec, payload reader and writer
 // ---------------------------------------------------------------------------
 
+/// Appends one framed record to `out`: `magic`, the type byte `ty`, then
+/// the length and CRC-32 of the payload that `payload` writes after them.
+pub(crate) fn seal(out: &mut Vec<u8>, magic: [u8; 4], ty: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&magic);
+    out.push(ty);
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    let len = (out.len() - start - HEADER_LEN) as u32;
+    let crc = crc32(&out[start + HEADER_LEN..]);
+    out[start + 5..start + 9].copy_from_slice(&len.to_le_bytes());
+    out[start + 9..start + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Checks the framed record at the front of `bytes` (its `magic`, a
+/// declared payload length of at most `cap`, the payload's CRC) and
+/// returns its type byte, its payload and the bytes it spans.
+pub(crate) fn unseal(
+    bytes: &[u8],
+    magic: [u8; 4],
+    cap: usize,
+) -> Result<(u8, &[u8], usize), ProtoError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(ProtoError::Truncated { needed: HEADER_LEN });
+    }
+    if bytes[0..4] != magic {
+        return Err(ProtoError::BadMagic);
+    }
+    let declared = u32::from_le_bytes(bytes[5..9].try_into().expect("4")) as usize;
+    if declared > cap {
+        return Err(ProtoError::Oversized { declared, cap });
+    }
+    let total = HEADER_LEN.saturating_add(declared);
+    if bytes.len() < total {
+        return Err(ProtoError::Truncated { needed: total });
+    }
+    let expected = u32::from_le_bytes(bytes[9..HEADER_LEN].try_into().expect("4"));
+    let payload = &bytes[HEADER_LEN..total];
+    let found = crc32(payload);
+    if found != expected {
+        return Err(ProtoError::CrcMismatch { expected, found });
+    }
+    Ok((bytes[4], payload, total))
+}
+
 /// Bounds-checked little-endian payload reader.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(b: &'a [u8]) -> Self {
+    pub(crate) fn new(b: &'a [u8]) -> Self {
         Self { b, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
         let end = self
             .pos
             .checked_add(n)
@@ -325,24 +379,24 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, ProtoError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, ProtoError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
     }
 
-    fn u32(&mut self) -> Result<u32, ProtoError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    fn u64(&mut self) -> Result<u64, ProtoError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
     /// A `u32`-length-prefixed UTF-8 string block.
-    fn str_block(&mut self) -> Result<String, ProtoError> {
+    pub(crate) fn str_block(&mut self) -> Result<String, ProtoError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -351,7 +405,7 @@ impl<'a> Reader<'a> {
 
     /// Fails unless every payload byte was consumed (trailing garbage
     /// would otherwise round-trip differently than it was sent).
-    fn done(self) -> Result<(), ProtoError> {
+    pub(crate) fn done(self) -> Result<(), ProtoError> {
         if self.pos == self.b.len() {
             Ok(())
         } else {
@@ -363,7 +417,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Writes a `u32`-length-prefixed UTF-8 string block.
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -462,21 +517,20 @@ pub fn decode_spec_bytes(bytes: &[u8]) -> Result<JobSpec, ProtoError> {
 
 /// Serializes one frame.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match frame {
-        Frame::Submit(spec) => encode_spec(&mut payload, spec),
-        Frame::Query(job) | Frame::Cancel(job) => {
-            payload.extend_from_slice(&job.to_le_bytes());
+    let mut out = Vec::new();
+    seal(&mut out, MAGIC, frame.type_byte(), |p| match frame {
+        Frame::Submit(spec) => encode_spec(p, spec),
+        Frame::Query(job) | Frame::Cancel(job) | Frame::Accepted { job } => {
+            p.extend_from_slice(&job.to_le_bytes());
         }
         Frame::Ping | Frame::Shutdown | Frame::Pong => {}
-        Frame::Accepted { job } => payload.extend_from_slice(&job.to_le_bytes()),
         Frame::Rejected { code, reason } => {
-            payload.extend_from_slice(&code.to_le_bytes());
-            put_str(&mut payload, reason);
+            p.extend_from_slice(&code.to_le_bytes());
+            put_str(p, reason);
         }
         Frame::Progress { job, chunk } => {
-            payload.extend_from_slice(&job.to_le_bytes());
-            put_str(&mut payload, chunk);
+            p.extend_from_slice(&job.to_le_bytes());
+            put_str(p, chunk);
         }
         Frame::Result {
             job,
@@ -484,23 +538,17 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             def,
             stats,
         } => {
-            payload.extend_from_slice(&job.to_le_bytes());
-            payload.push(u8::from(*ok));
-            put_str(&mut payload, def);
-            put_str(&mut payload, stats);
+            p.extend_from_slice(&job.to_le_bytes());
+            p.push(u8::from(*ok));
+            put_str(p, def);
+            put_str(p, stats);
         }
-        Frame::Error { message } => put_str(&mut payload, message),
+        Frame::Error { message } => put_str(p, message),
         Frame::Status { job, state } => {
-            payload.extend_from_slice(&job.to_le_bytes());
-            payload.push(*state);
+            p.extend_from_slice(&job.to_le_bytes());
+            p.push(*state);
         }
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(frame.type_byte());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    });
     out
 }
 
@@ -513,28 +561,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// streaming reader); every other variant is a protocol violation the
 /// caller should answer with [`Frame::Error`] and a close.
 pub fn decode_frame(bytes: &[u8], cap: usize) -> Result<(Frame, usize), ProtoError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ProtoError::Truncated { needed: HEADER_LEN });
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let ty = bytes[4];
-    let declared = u32::from_le_bytes(bytes[5..9].try_into().expect("4")) as usize;
-    let cap = cap.min(MAX_FRAME);
-    if declared > cap {
-        return Err(ProtoError::Oversized { declared, cap });
-    }
-    let total = HEADER_LEN + declared;
-    if bytes.len() < total {
-        return Err(ProtoError::Truncated { needed: total });
-    }
-    let expected = u32::from_le_bytes(bytes[9..13].try_into().expect("4"));
-    let payload = &bytes[HEADER_LEN..total];
-    let found = crc32(payload);
-    if found != expected {
-        return Err(ProtoError::CrcMismatch { expected, found });
-    }
+    let (ty, payload, total) = unseal(bytes, MAGIC, cap.min(MAX_FRAME))?;
     let mut r = Reader::new(payload);
     let frame = match ty {
         0x01 => Frame::Submit(decode_spec(&mut r)?),
@@ -646,14 +673,10 @@ mod tests {
         }
     }
 
-    /// Wraps a raw SUBMIT payload in a sealed frame.
-    fn frame_submit_payload(payload: &[u8]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(0x01);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+    /// Seals a raw payload into a frame of type `ty`.
+    fn frame_payload(ty: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        seal(&mut bytes, MAGIC, ty, |p| p.extend_from_slice(payload));
         bytes
     }
 
@@ -711,11 +734,10 @@ mod tests {
         let (back, _) = decode_frame(&bytes, MAX_FRAME).expect("gplace kind decodes");
         assert_eq!(back, Frame::Submit(spec));
         // The next unassigned kind byte must stay a hard error. Payload
-        // layout: [version, kind, ...]; re-seal the CRC after corrupting.
-        let mut bytes = encode_frame(&Frame::Submit(sample_spec()));
-        bytes[HEADER_LEN + 1] = 4;
-        let crc = crc32(&bytes[HEADER_LEN..]);
-        bytes[9..13].copy_from_slice(&crc.to_le_bytes());
+        // layout: [version, kind, ...]; re-seal after corrupting.
+        let mut payload = encode_spec_bytes(&sample_spec());
+        payload[1] = 4;
+        let bytes = frame_payload(0x01, &payload);
         assert!(matches!(
             decode_frame(&bytes, MAX_FRAME).unwrap_err(),
             ProtoError::Malformed(_)
@@ -729,7 +751,7 @@ mod tests {
         for ver in [1u8, 2, 4] {
             let mut payload = encode_spec_bytes(&sample_spec());
             payload[0] = ver;
-            let bytes = frame_submit_payload(&payload);
+            let bytes = frame_payload(0x01, &payload);
             assert!(
                 matches!(
                     decode_frame(&bytes, MAX_FRAME).unwrap_err(),
@@ -792,13 +814,7 @@ mod tests {
     #[test]
     fn trailing_payload_bytes_are_rejected() {
         // A Pong with one payload byte: layout says empty.
-        let payload = [7u8];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(0x86);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let bytes = frame_payload(0x86, &[7]);
         assert!(matches!(
             decode_frame(&bytes, MAX_FRAME).unwrap_err(),
             ProtoError::Malformed(_)

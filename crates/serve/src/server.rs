@@ -178,10 +178,18 @@ impl Server {
         // its persisted result served from the table.
         let (wal, recovered, report) = Wal::open(&cfg.data_dir.join("wal"), cfg.wal_segment_bytes)?;
         let wal = Arc::new(wal);
-        if !telemetry::disabled() && report.records > 0 {
+        if !telemetry::disabled() {
             telemetry::counter("serve.wal.replayed_records").add(report.records);
             telemetry::counter("serve.wal.torn_tails").add(report.torn_tail);
             telemetry::counter("serve.wal.corrupt_records").add(report.corrupt);
+            telemetry::emit(
+                telemetry::Event::new("serve.wal.replay")
+                    .with("segments", report.segments)
+                    .with("records", report.records)
+                    .with("torn_tail", report.torn_tail)
+                    .with("corrupt", report.corrupt)
+                    .with("jobs", report.jobs),
+            );
         }
         for job in recovered {
             let terminal = matches!(job.state, state::DONE | state::FAILED);

@@ -26,8 +26,10 @@ cargo test -q --workspace
 # The benchmark crate is not a workspace member, so nothing above compiles
 # it: a crates/* API change that breaks it would otherwise surface only
 # when the benchmark runs. Its tests include a smoke run of every workload.
-echo "==> benchmark crate: cargo test --offline --manifest-path perfbench/Cargo.toml"
-cargo test --offline --manifest-path perfbench/Cargo.toml
+# --locked: a crates/* dependency change that would rewrite the benchmark's
+# own Cargo.lock fails here instead of changing it silently.
+echo "==> benchmark crate: cargo test --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo bench --no-run (benches must keep building)"
 cargo bench --no-run --workspace
