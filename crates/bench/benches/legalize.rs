@@ -22,13 +22,15 @@
 //! - `--out <path>` — where to write the JSON snapshot.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use rl_legalizer::{train, CellWiseNet, RlConfig, Trainer};
 use rlleg_bench::snapshot::{Header, Kind, Snapshot};
 use rlleg_benchgen::{find_spec, generate, parse_cells};
 use rlleg_design::{metrics, CellId, Design};
+use rlleg_gplace::netmodel::NetModel;
+use rlleg_gplace::spread::BinGrid;
 use rlleg_gplace::{place, GpConfig};
 use rlleg_legalize::{
     find_position, find_position_reference, GcellGrid, Legalizer, Ordering, SearchConfig,
@@ -186,8 +188,12 @@ fn bench_scale(c: &mut Criterion, max_cells: usize) {
 /// Analytical global placement at the scale-curve presets: wall time of
 /// the full `place` pipeline (quadratic solves + diffusion spreading +
 /// the legalization-aware finalist round) plus its bin-overflow trajectory
-/// endpoints as QoR records. `bench_guard` asserts the overflow
-/// decreases at 10k cells.
+/// endpoints as QoR records, and the wall time of one diffusion spread
+/// (`spread/<n>`) as the warm loop's first iteration runs it on the same
+/// instance: the input positions with the placer's jitter, its default
+/// bin count and density, and `warm_diffusion_steps` steps, all of which
+/// run at the default `stop_util` of 1.0. `bench_guard` asserts the
+/// overflow decreases at 10k cells.
 fn bench_gplace(c: &mut Criterion, snap: &mut Snapshot, max_cells: usize) {
     let mut group = c.benchmark_group("gplace");
     group.sample_size(2);
@@ -212,6 +218,41 @@ fn bench_gplace(c: &mut Criterion, snap: &mut Snapshot, max_cells: usize) {
             let id = format!("{what}/{label}");
             record_qor(snap, "gplace", &id, value, "fraction");
         }
+
+        // The spread's inputs as `place` builds them for a warm start.
+        let model = NetModel::build(&d, cfg.star_crossover);
+        let hot = d.hot_cells();
+        let n = model.num_vars();
+        let (mut xs, mut ys) = (vec![0.0; n], vec![0.0; n]);
+        for id in hot.movable_ids() {
+            let v = model.var_of[id.index()] as usize;
+            let p = d.cell(id).pos;
+            (xs[v], ys[v]) = (p.x as f64, p.y as f64);
+        }
+        let sw = d.tech.site_width as f64;
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let jitter: Vec<(f64, f64)> = (0..n)
+            .map(|_| (rng.gen_range(-0.5..0.5) * sw, rng.gen_range(-0.5..0.5) * sw))
+            .collect();
+        let bins = ((model.num_cell_vars as f64 / 6.0).sqrt().ceil() as usize).clamp(4, 256);
+        let density = (d.density() * 1.2 + 0.05).clamp(0.30, 1.0);
+        let mut grid = BinGrid::new(&d, bins, bins, density);
+        group.bench_function(format!("spread/{label}"), |b| {
+            b.iter(|| {
+                let (tx, _) = grid.spread_targets(
+                    &d,
+                    &hot,
+                    &model.var_of,
+                    &xs,
+                    &ys,
+                    &jitter,
+                    cfg.warm_diffusion_steps,
+                    1.0,
+                    cfg.diffusion_nu,
+                );
+                black_box(tx.len())
+            })
+        });
     }
     group.finish();
 }

@@ -208,15 +208,23 @@ fn wal_victim_main(args: &Args) -> ! {
     std::process::exit(0);
 }
 
-/// Parent half: spawn the victim, SIGKILL it mid-stream at a seeded delay,
-/// replay the journal it left, and hold the durability invariant — every
-/// acknowledged job is re-queued or served with a bit-identical result;
-/// none disappears, none diverges.
+/// Parent half: spawn the victim, SIGKILL it mid-stream after a seeded
+/// wall-clock delay, replay the journal it left, and hold the durability
+/// invariant — every acknowledged job is re-queued or served with a
+/// bit-identical result; none disappears, none diverges.
+///
+/// Unlike the in-process crash-point replay, this check is not
+/// deterministic in the seed: the seed fixes the victim's job stream and
+/// the delay, but how far the victim got when the signal lands depends on
+/// scheduling. A failure's repro is its WAL-segment artifact, not its
+/// `--seed`; its message carries the kill delay.
 fn wal_kill_check(seed: u64, iter: u64) -> Vec<Failure> {
+    let child_seed = seed ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let delay_ms = 2 + child_seed % 40;
     let fail = |message: String, segment: Vec<u8>| Failure {
         oracle: "wal",
         scenario: format!("kill-victim i{iter}"),
-        message,
+        message: format!("{message} (SIGKILL after {delay_ms} ms)"),
         artifact: Some(Artifact::WalSegmentHex(rlleg_fuzz::oracle_proto::to_hex(
             &segment,
         ))),
@@ -226,7 +234,6 @@ fn wal_kill_check(seed: u64, iter: u64) -> Vec<Failure> {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let child_seed = seed ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => return vec![fail(format!("current_exe: {e}"), Vec::new())],
@@ -245,7 +252,7 @@ fn wal_kill_check(seed: u64, iter: u64) -> Vec<Failure> {
     };
     // A seeded few milliseconds of journalling, then SIGKILL — no drain,
     // no flush, exactly the crash the journal exists for.
-    std::thread::sleep(std::time::Duration::from_millis(2 + child_seed % 40));
+    std::thread::sleep(std::time::Duration::from_millis(delay_ms));
     let _ = child.kill();
     let output = match child.wait_with_output() {
         Ok(o) => o,

@@ -15,6 +15,13 @@
 //!    target, cell positions are advected through a few steps of a density
 //!    diffusion field and the resulting spread targets are fed back into
 //!    the solve as anchored pseudo-pins of geometrically growing weight.
+//!    Each diffusion step ([`spread::BinGrid::spread_targets`]) deposits
+//!    the cells in cell order, computes every bin face's velocity once,
+//!    and moves each cell by interpolating its bin's two faces per axis.
+//!    A face's velocity is the same `f64` whichever cell reads it, and the
+//!    advection keeps the operands, clamp bounds and addition order of
+//!    the per-cell sampler it replaced, so the targets are that sampler's
+//!    bit for bit; its unit tests keep the sampler as the oracle.
 //!
 //! Two modes share that loop. **Warm refinement** (the default) starts
 //! from the design's current placement, uses strong anchors and short
@@ -47,10 +54,12 @@
 //! With telemetry on, `place` records the spans `gplace.place`,
 //! `gplace.solve` (one per anchored solve: matrix refill plus both PCG
 //! solves; cold construction's anchor-free first solve is one too),
-//! `gplace.spread` (one per outer iteration's spreading) and
-//! `gplace.finalist` (the whole finalist round), and counts the trial
-//! legalizations it ran on `gplace.finalist.trials` and the winning
-//! finalist's kind on `gplace.finalist.{input,refined,spread}`.
+//! `gplace.spread` (one per outer iteration's spreading),
+//! `gplace.finalist` (the whole finalist round) and
+//! `gplace.finalist.respread` (its two paired re-spreads), and counts the
+//! trial legalizations it ran on `gplace.finalist.trials`, the winning
+//! finalist's kind on `gplace.finalist.{input,refined,spread}` and the
+//! diffusion steps every spread integrated on `gplace.spread.steps`.
 //!
 //! # Example
 //!
@@ -412,7 +421,10 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> GpStats {
                     cfg.diffusion_nu,
                 )
             };
-            let (fine, local) = join(lanes, || spread(1.5), || spread(3.0));
+            let (fine, local) = {
+                let _r = telemetry::span("gplace.finalist.respread");
+                join(lanes, || spread(1.5), || spread(3.0))
+            };
             let mut finalists = vec![("input", input_pos)];
             if refined {
                 finalists.push(("refined", best));

@@ -103,10 +103,13 @@ impl BinGrid {
         let fx1 = (x + w - self.x0) / self.bw;
         let fy0 = (y - self.y0) / self.bh;
         let fy1 = (y + h - self.y0) / self.bh;
-        let bx0 = (fx0.floor().max(0.0) as usize).min(self.nx - 1);
-        let bx1 = (fx1.ceil().max(1.0) as usize).min(self.nx);
-        let by0 = (fy0.floor().max(0.0) as usize).min(self.ny - 1);
-        let by1 = (fy1.ceil().max(1.0) as usize).min(self.ny);
+        // The covered bins. A float-to-int cast truncates and sends
+        // negatives and NaN to 0, so these are `floor().max(0.0)` and
+        // `ceil().max(1.0)` without a libm call.
+        let bx0 = (fx0 as usize).min(self.nx - 1);
+        let bx1 = ceil_index(fx1).clamp(1, self.nx);
+        let by0 = (fy0 as usize).min(self.ny - 1);
+        let by1 = ceil_index(fy1).clamp(1, self.ny);
         for by in by0..by1 {
             let oy = overlap_1d(fy0, fy1, by as f64, by as f64 + 1.0) * self.bh;
             if oy <= 0.0 {
@@ -156,6 +159,26 @@ impl BinGrid {
     /// `jitter` is a deterministic per-variable sub-site offset applied to
     /// the starting targets: exactly-coincident cells would otherwise see
     /// identical velocities and move in lockstep forever.
+    ///
+    /// A step deposits the cells in cell order, then gives every bin face
+    /// its velocity once: `-nu * (rho_hi - rho_lo) / max(mean rho, 0.05)`
+    /// bins per step, and 0 on the die boundary, which carries no flux.
+    /// Each cell then interpolates its bin's two faces per axis by where
+    /// its center sits in the bin. At a density peak the left face flows
+    /// left and the right face flows right, so cells at a cluster center
+    /// still split apart; a centered-gradient sample would be zero there
+    /// by symmetry and leave them stuck. The cells' variables, sizes and
+    /// clamp bounds are gathered once per call.
+    ///
+    /// The targets are bit for bit those of the per-cell sampler this
+    /// kernel replaced, which computed the four faces around a cell for
+    /// every cell: a face's velocity is the same `f64` whichever cell
+    /// reads it, and the advection keeps every operand, clamp bound and
+    /// addition order. The unit tests keep that sampler as the oracle and
+    /// compare with `f64::to_bits`.
+    ///
+    /// With telemetry on, the steps that moved cells are counted on
+    /// `gplace.spread.steps`.
     #[allow(clippy::too_many_arguments)]
     pub fn spread_targets(
         &mut self,
@@ -173,17 +196,44 @@ impl BinGrid {
         // Zero-capacity bins (fully blocked by macros) read as highly
         // over-full so cells flow out of them.
         let floor = 0.01 * self.bw * self.bh;
+        let rh = design.tech.row_height as f64;
+        let (x_end, y_end) = (self.x0 + nx as f64 * self.bw, self.y0 + ny as f64 * self.bh);
+        let cells: Vec<Mover> = hot
+            .movable_ids()
+            .map(|id| {
+                let w = hot.width(id) as f64;
+                let h = hot.h_rows(id) as f64 * rh;
+                Mover {
+                    v: var_of[id.index()] as usize,
+                    w,
+                    h,
+                    // A cell wider/taller than the whole grid inverts the
+                    // clamp range; pin such cells to the grid origin instead.
+                    hi_x: (x_end - w).max(self.x0),
+                    hi_y: (y_end - h).max(self.y0),
+                }
+            })
+            .collect();
         let mut tx = xs.to_vec();
         let mut ty = ys.to_vec();
-        for id in hot.movable_ids() {
-            let v = var_of[id.index()] as usize;
-            let (jx, jy) = jitter.get(v).copied().unwrap_or((0.0, 0.0));
-            tx[v] += jx;
-            ty[v] += jy;
+        for c in &cells {
+            let (jx, jy) = jitter.get(c.v).copied().unwrap_or((0.0, 0.0));
+            tx[c.v] += jx;
+            ty[c.v] += jy;
         }
         let mut rho = vec![0.0f64; nx * ny];
+        // Face velocities in bins per step: `vel_x[by * (nx + 1) + bx]` is
+        // the face left of bin `(bx, by)` and `vel_y[by * nx + bx]` the one
+        // below it. The die-boundary faces are never written.
+        let mut vel_x = vec![0.0f64; (nx + 1) * ny];
+        let mut vel_y = vec![0.0f64; nx * (ny + 1)];
+        let face = |lo: f64, hi: f64| -nu * (hi - lo) / ((lo + hi) * 0.5).max(0.05);
+        let mut steps = 0u64;
         for _ in 0..max_steps {
-            self.deposit(design, hot, var_of, &tx, &ty);
+            self.usage.iter_mut().for_each(|u| *u = 0.0);
+            for c in &cells {
+                self.add_area(tx[c.v], ty[c.v], c.w, c.h);
+            }
             for (r, (&u, &c)) in rho.iter_mut().zip(self.usage.iter().zip(&self.cap)) {
                 *r = u / c.max(floor);
             }
@@ -191,72 +241,62 @@ impl BinGrid {
             if peak <= stop_util {
                 break;
             }
-            let rh = design.tech.row_height as f64;
-            for id in hot.movable_ids() {
-                let v = var_of[id.index()] as usize;
+            steps += 1;
+            for (row, vel) in rho.chunks_exact(nx).zip(vel_x.chunks_exact_mut(nx + 1)) {
+                for (v, pair) in vel[1..nx].iter_mut().zip(row.windows(2)) {
+                    *v = face(pair[0], pair[1]);
+                }
+            }
+            for ((lo, hi), vel) in rho
+                .chunks_exact(nx)
+                .zip(rho[nx..].chunks_exact(nx))
+                .zip(vel_y[nx..].chunks_exact_mut(nx))
+            {
+                for ((v, &l), &h) in vel.iter_mut().zip(lo).zip(hi) {
+                    *v = face(l, h);
+                }
+            }
+            for c in &cells {
                 // Sample the velocity at the cell *center*: a corner sample
                 // biases the flow and lets a cell's own deposited mass push
                 // it sideways once cells are comparable to bin size.
-                let hw = hot.width(id) as f64 * 0.5;
-                let hh = hot.h_rows(id) as f64 * rh * 0.5;
-                let fx = ((tx[v] + hw - self.x0) / self.bw).clamp(0.0, nx as f64 - 1e-9);
-                let fy = ((ty[v] + hh - self.y0) / self.bh).clamp(0.0, ny as f64 - 1e-9);
-                let (vx, vy) = self.velocity(&rho, fx, fy, nu);
-                // A cell wider/taller than the whole grid inverts the clamp
-                // range; pin such cells to the grid origin instead.
-                let hi_x = (self.x0 + nx as f64 * self.bw - 2.0 * hw).max(self.x0);
-                let hi_y = (self.y0 + ny as f64 * self.bh - 2.0 * hh).max(self.y0);
-                tx[v] = (tx[v] + vx * self.bw).clamp(self.x0, hi_x);
-                ty[v] = (ty[v] + vy * self.bh).clamp(self.y0, hi_y);
+                let hw = c.w * 0.5;
+                let hh = c.h * 0.5;
+                let fx = ((tx[c.v] + hw - self.x0) / self.bw).clamp(0.0, nx as f64 - 1e-9);
+                let fy = ((ty[c.v] + hh - self.y0) / self.bh).clamp(0.0, ny as f64 - 1e-9);
+                // Both are at least 0 (or NaN, which casts to 0), so the
+                // truncating cast is their floor without a libm call.
+                let bx = (fx as usize).min(nx - 1);
+                let by = (fy as usize).min(ny - 1);
+                let ax = fx - bx as f64;
+                let ay = fy - by as f64;
+                let fxi = by * (nx + 1) + bx;
+                let fyi = by * nx + bx;
+                let vx = vel_x[fxi] * (1.0 - ax) + vel_x[fxi + 1] * ax;
+                let vy = vel_y[fyi] * (1.0 - ay) + vel_y[fyi + nx] * ay;
+                tx[c.v] = (tx[c.v] + vx * self.bw).clamp(self.x0, c.hi_x);
+                ty[c.v] = (ty[c.v] + vy * self.bh).clamp(self.y0, c.hi_y);
             }
         }
+        telemetry::counter("gplace.spread.steps").add(steps);
         (tx, ty)
     }
+}
 
-    /// Face-flux continuity velocity (in bins per step) at fractional bin
-    /// coordinates.
-    ///
-    /// The flux across each bin face is `-nu * (rho_hi - rho_lo)`, the face
-    /// velocity is flux over face density, and a cell interpolates between
-    /// its bin's two face velocities by its intra-bin position. At a density
-    /// peak the left face flows left and the right face flows right, so
-    /// cells at a cluster center still split apart — a centered-gradient
-    /// sample would be zero there by symmetry and leave them stuck.
-    fn velocity(&self, rho: &[f64], fx: f64, fy: f64, nu: f64) -> (f64, f64) {
-        let (nx, ny) = (self.nx, self.ny);
-        let bx = (fx.floor() as usize).min(nx - 1);
-        let by = (fy.floor() as usize).min(ny - 1);
-        let ax = fx - bx as f64;
-        let ay = fy - by as f64;
-        let floor = 0.05;
-        // Die-boundary faces carry no flux.
-        let face = |lo: f64, hi: f64| -nu * (hi - lo) / ((lo + hi) * 0.5).max(floor);
-        let c = rho[by * nx + bx];
-        let vx_lo = if bx == 0 {
-            0.0
-        } else {
-            face(rho[by * nx + bx - 1], c)
-        };
-        let vx_hi = if bx + 1 >= nx {
-            0.0
-        } else {
-            face(c, rho[by * nx + bx + 1])
-        };
-        let vy_lo = if by == 0 {
-            0.0
-        } else {
-            face(rho[(by - 1) * nx + bx], c)
-        };
-        let vy_hi = if by + 1 >= ny {
-            0.0
-        } else {
-            face(c, rho[(by + 1) * nx + bx])
-        };
-        (
-            vx_lo * (1.0 - ax) + vx_hi * ax,
-            vy_lo * (1.0 - ay) + vy_hi * ay,
-        )
-    }
+/// One movable cell as [`BinGrid::spread_targets`] sees it: its variable,
+/// its size in dbu and the upper clamp bounds of its lower-left corner.
+struct Mover {
+    v: usize,
+    w: f64,
+    h: f64,
+    hi_x: f64,
+    hi_y: f64,
+}
+
+/// `f.ceil()` cast to `usize`: 0 for negatives and NaN, saturating above.
+fn ceil_index(f: f64) -> usize {
+    let t = f as usize;
+    t.saturating_add(usize::from((t as f64) < f))
 }
 
 /// Overlap length of `[a0, a1)` and `[b0, b1)` in bin units.
@@ -285,8 +325,330 @@ fn subtract_rect(cap: &mut [f64], nx: usize, ny: usize, bw: f64, bh: f64, core: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use rlleg_design::{DesignBuilder, Technology};
     use rlleg_geom::Point;
+
+    /// The per-cell velocity sampler `spread_targets` ran before the
+    /// per-face kernel, kept as the kernel's differential oracle.
+    impl BinGrid {
+        #[allow(clippy::too_many_arguments)]
+        fn reference_spread_targets(
+            &mut self,
+            design: &Design,
+            hot: &HotCells,
+            var_of: &[u32],
+            xs: &[f64],
+            ys: &[f64],
+            jitter: &[(f64, f64)],
+            max_steps: usize,
+            stop_util: f64,
+            nu: f64,
+        ) -> (Vec<f64>, Vec<f64>) {
+            let (nx, ny) = (self.nx, self.ny);
+            let floor = 0.01 * self.bw * self.bh;
+            let mut tx = xs.to_vec();
+            let mut ty = ys.to_vec();
+            for id in hot.movable_ids() {
+                let v = var_of[id.index()] as usize;
+                let (jx, jy) = jitter.get(v).copied().unwrap_or((0.0, 0.0));
+                tx[v] += jx;
+                ty[v] += jy;
+            }
+            let mut rho = vec![0.0f64; nx * ny];
+            for _ in 0..max_steps {
+                self.reference_deposit(design, hot, var_of, &tx, &ty);
+                for (r, (&u, &c)) in rho.iter_mut().zip(self.usage.iter().zip(&self.cap)) {
+                    *r = u / c.max(floor);
+                }
+                let peak = rho.iter().cloned().fold(0.0f64, f64::max);
+                if peak <= stop_util {
+                    break;
+                }
+                let rh = design.tech.row_height as f64;
+                for id in hot.movable_ids() {
+                    let v = var_of[id.index()] as usize;
+                    let hw = hot.width(id) as f64 * 0.5;
+                    let hh = hot.h_rows(id) as f64 * rh * 0.5;
+                    let fx = ((tx[v] + hw - self.x0) / self.bw).clamp(0.0, nx as f64 - 1e-9);
+                    let fy = ((ty[v] + hh - self.y0) / self.bh).clamp(0.0, ny as f64 - 1e-9);
+                    let (vx, vy) = self.velocity(&rho, fx, fy, nu);
+                    let hi_x = (self.x0 + nx as f64 * self.bw - 2.0 * hw).max(self.x0);
+                    let hi_y = (self.y0 + ny as f64 * self.bh - 2.0 * hh).max(self.y0);
+                    tx[v] = (tx[v] + vx * self.bw).clamp(self.x0, hi_x);
+                    ty[v] = (ty[v] + vy * self.bh).clamp(self.y0, hi_y);
+                }
+            }
+            (tx, ty)
+        }
+
+        /// [`BinGrid::deposit`] as it was, with `floor` and `ceil` bounding
+        /// each cell's bin range.
+        fn reference_deposit(
+            &mut self,
+            design: &Design,
+            hot: &HotCells,
+            var_of: &[u32],
+            xs: &[f64],
+            ys: &[f64],
+        ) {
+            self.usage.iter_mut().for_each(|u| *u = 0.0);
+            let rh = design.tech.row_height as f64;
+            for id in hot.movable_ids() {
+                let v = var_of[id.index()] as usize;
+                let (x, y) = (xs[v], ys[v]);
+                let w = hot.width(id) as f64;
+                let h = hot.h_rows(id) as f64 * rh;
+                let fx0 = (x - self.x0) / self.bw;
+                let fx1 = (x + w - self.x0) / self.bw;
+                let fy0 = (y - self.y0) / self.bh;
+                let fy1 = (y + h - self.y0) / self.bh;
+                let bx0 = (fx0.floor().max(0.0) as usize).min(self.nx - 1);
+                let bx1 = (fx1.ceil().max(1.0) as usize).min(self.nx);
+                let by0 = (fy0.floor().max(0.0) as usize).min(self.ny - 1);
+                let by1 = (fy1.ceil().max(1.0) as usize).min(self.ny);
+                for by in by0..by1 {
+                    let oy = overlap_1d(fy0, fy1, by as f64, by as f64 + 1.0) * self.bh;
+                    if oy <= 0.0 {
+                        continue;
+                    }
+                    for bx in bx0..bx1 {
+                        let ox = overlap_1d(fx0, fx1, bx as f64, bx as f64 + 1.0) * self.bw;
+                        if ox > 0.0 {
+                            self.usage[by * self.nx + bx] += ox * oy;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Face-flux continuity velocity (in bins per step) at fractional
+        /// bin coordinates, from the four faces around the sample's bin.
+        fn velocity(&self, rho: &[f64], fx: f64, fy: f64, nu: f64) -> (f64, f64) {
+            let (nx, ny) = (self.nx, self.ny);
+            let bx = (fx.floor() as usize).min(nx - 1);
+            let by = (fy.floor() as usize).min(ny - 1);
+            let ax = fx - bx as f64;
+            let ay = fy - by as f64;
+            let floor = 0.05;
+            let face = |lo: f64, hi: f64| -nu * (hi - lo) / ((lo + hi) * 0.5).max(floor);
+            let c = rho[by * nx + bx];
+            let vx_lo = if bx == 0 {
+                0.0
+            } else {
+                face(rho[by * nx + bx - 1], c)
+            };
+            let vx_hi = if bx + 1 >= nx {
+                0.0
+            } else {
+                face(c, rho[by * nx + bx + 1])
+            };
+            let vy_lo = if by == 0 {
+                0.0
+            } else {
+                face(rho[(by - 1) * nx + bx], c)
+            };
+            let vy_hi = if by + 1 >= ny {
+                0.0
+            } else {
+                face(c, rho[(by + 1) * nx + bx])
+            };
+            (
+                vx_lo * (1.0 - ax) + vx_hi * ax,
+                vy_lo * (1.0 - ay) + vy_hi * ay,
+            )
+        }
+    }
+
+    /// A random spreading problem drawn from `seed` on an `nx` x `ny`
+    /// grid: a core of 1–80 sites by 1–12 rows, up to four fixed macros
+    /// (some covering whole bins, so those bins have zero capacity), up to
+    /// 40 movable cells of which some are wider or taller than the core,
+    /// star variables that no cell owns, start positions up to a core
+    /// size off the core and a jitter list that may be shorter than the
+    /// variables.
+    struct Case {
+        design: Design,
+        nx: usize,
+        ny: usize,
+        density: f64,
+        var_of: Vec<u32>,
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        jitter: Vec<(f64, f64)>,
+        nu: f64,
+    }
+
+    impl Case {
+        fn draw(seed: u64, nx: usize, ny: usize) -> Case {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let tech = Technology::contest();
+            let sw = tech.site_width as f64;
+            let sites: i64 = rng.gen_range(1..=80);
+            let rows: i64 = rng.gen_range(1..=12);
+            let mut b = DesignBuilder::new("spread", tech, sites, rows);
+            let (cw, ch) = (sites * 200, rows * 2_000);
+            for i in 0..rng.gen_range(0..=4) {
+                let w = rng.gen_range(1..=sites);
+                let h = rng.gen_range(1..=4u8);
+                let at = Point::new(rng.gen_range(-cw / 2..cw), rng.gen_range(-ch / 2..ch));
+                b.add_fixed_cell(format!("m{i}"), w, h, at);
+            }
+            for i in 0..rng.gen_range(0..=40) {
+                let w = if rng.gen_range(0..8) == 0 {
+                    sites + rng.gen_range(1..=5)
+                } else {
+                    rng.gen_range(1..=8)
+                };
+                b.add_cell(format!("c{i}"), w, rng.gen_range(1..=4u8), Point::new(0, 0));
+            }
+            let design = b.build();
+            let m = design.num_movable();
+            let n = m + rng.gen_range(0..=5);
+            // Variables in a shuffled order, so cell order and variable
+            // order differ.
+            let mut order: Vec<u32> = (0..m as u32).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut next = order.into_iter();
+            let var_of = design
+                .cells
+                .iter()
+                .map(|c| {
+                    if c.is_movable() {
+                        next.next().expect("one variable per movable cell")
+                    } else {
+                        u32::MAX
+                    }
+                })
+                .collect();
+            let (cw, ch) = (cw as f64, ch as f64);
+            let xs = (0..n).map(|_| rng.gen_range(-cw..2.0 * cw)).collect();
+            let ys = (0..n).map(|_| rng.gen_range(-ch..2.0 * ch)).collect();
+            let jitter = (0..rng.gen_range(0..=n))
+                .map(|_| (rng.gen_range(-0.5..0.5) * sw, rng.gen_range(-0.5..0.5) * sw))
+                .collect();
+            Case {
+                design,
+                nx,
+                ny,
+                density: rng.gen_range(0.3..=1.0),
+                var_of,
+                xs,
+                ys,
+                jitter,
+                nu: rng.gen_range(0.01..=0.25),
+            }
+        }
+
+        /// Runs the kernel and the reference on fresh grids and returns
+        /// the first difference in the bits of the targets, of the usage
+        /// the spread left, or of a deposit at the start positions.
+        fn compare(&self, max_steps: usize, stop_util: f64) -> Result<(), String> {
+            let d = &self.design;
+            let hot = d.hot_cells();
+            let (var_of, xs, ys) = (&self.var_of, &self.xs, &self.ys);
+            let run = |reference: bool| {
+                let mut g = BinGrid::new(d, self.nx, self.ny, self.density);
+                let (tx, ty) = if reference {
+                    g.reference_spread_targets(
+                        d,
+                        &hot,
+                        var_of,
+                        xs,
+                        ys,
+                        &self.jitter,
+                        max_steps,
+                        stop_util,
+                        self.nu,
+                    )
+                } else {
+                    g.spread_targets(
+                        d,
+                        &hot,
+                        var_of,
+                        xs,
+                        ys,
+                        &self.jitter,
+                        max_steps,
+                        stop_util,
+                        self.nu,
+                    )
+                };
+                let spread_usage = g.usage.clone();
+                if reference {
+                    g.reference_deposit(d, &hot, var_of, xs, ys);
+                } else {
+                    g.deposit(d, &hot, var_of, xs, ys);
+                }
+                (tx, ty, spread_usage, g.usage)
+            };
+            let (got, want) = (run(false), run(true));
+            for (what, g, w) in [
+                ("x target", &got.0, &want.0),
+                ("y target", &got.1, &want.1),
+                ("spread usage", &got.2, &want.2),
+                ("start deposit", &got.3, &want.3),
+            ] {
+                if let Some(i) = (0..w.len()).find(|&i| g[i].to_bits() != w[i].to_bits()) {
+                    return Err(format!("{what} {i}: kernel {} reference {}", g[i], w[i]));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The per-face kernel returns the per-cell sampler's targets bit
+        /// for bit. `stop` picks a `stop_util` met at step 0, one never
+        /// met, or one in between.
+        #[test]
+        fn kernel_matches_the_per_cell_sampler_bit_for_bit(
+            (nx, ny) in (1usize..=64, 1usize..=48),
+            seed in any::<u64>(),
+            max_steps in 0usize..=40,
+            stop in 0u8..3,
+            util in 0.5f64..4.0,
+        ) {
+            let stop_util = match stop {
+                0 => f64::INFINITY,
+                1 => -1.0,
+                _ => util,
+            };
+            let case = Case::draw(seed, nx, ny);
+            prop_assert_eq!(case.compare(max_steps, stop_util), Ok(()));
+        }
+    }
+
+    /// The extreme grid shapes, over cases that include zero-capacity
+    /// bins and cells larger than the core.
+    #[test]
+    fn kernel_matches_the_per_cell_sampler_at_the_grid_extremes() {
+        let (mut zero_cap, mut oversized) = (0, 0);
+        for (nx, ny) in [(1, 1), (1, 48), (64, 1), (64, 48), (3, 2)] {
+            for seed in 0..20 {
+                let case = Case::draw(seed, nx, ny);
+                let d = &case.design;
+                let g = BinGrid::new(d, nx, ny, case.density);
+                zero_cap += usize::from(g.cap.contains(&0.0));
+                let rh = d.tech.row_height;
+                oversized += usize::from(d.cells.iter().any(|c| {
+                    c.is_movable() && (c.width > d.core.width() || c.height(rh) > d.core.height())
+                }));
+                for stop_util in [f64::INFINITY, -1.0, 1.0] {
+                    if let Err(e) = case.compare(40, stop_util) {
+                        panic!("{nx}x{ny} seed {seed} stop {stop_util}: {e}");
+                    }
+                }
+            }
+        }
+        assert!(zero_cap > 0 && oversized > 0, "{zero_cap} {oversized}");
+    }
 
     #[test]
     fn deposit_conserves_area_and_reports_overflow() {

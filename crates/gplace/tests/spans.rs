@@ -1,4 +1,5 @@
-//! Stage spans and the finalist trial counter of `place`.
+//! Stage spans, the spread step counter and the finalist trial counter
+//! of `place`.
 //!
 //! Telemetry's enabled flag and registry are process-global, so these
 //! checks run in their own test binary and serialize through [`lock`].
@@ -33,13 +34,20 @@ fn spans(s: &Snapshot, name: &str) -> u64 {
 
 #[test]
 fn warm_place_records_one_solve_and_one_spread_per_iteration() {
-    let (stats, s) = traced_place(&GpConfig::default());
+    let cfg = GpConfig::default();
+    let (stats, s) = traced_place(&cfg);
     assert!(stats.iterations > 0);
     let iterations = stats.iterations as u64;
     assert_eq!(spans(&s, "gplace.place"), 1);
     assert_eq!(spans(&s, "gplace.solve"), iterations);
     assert_eq!(spans(&s, "gplace.spread"), iterations);
     assert_eq!(spans(&s, "gplace.finalist"), 1);
+    assert_eq!(spans(&s, "gplace.finalist.respread"), 1);
+    // Each loop spread takes at most `warm_diffusion_steps` steps and each
+    // finalist re-spread at most `diffusion_steps`.
+    let steps = s.counter("gplace.spread.steps");
+    let cap = cfg.warm_diffusion_steps as u64 * iterations + 2 * cfg.diffusion_steps as u64;
+    assert!(steps > 0 && steps <= cap, "{steps} steps, cap {cap}");
     // An iterate replaced the input here, so every finalist is tried:
     // the input, the refined iterate and the two spreads.
     assert_eq!(s.counter("gplace.finalist.trials"), 4);
@@ -57,6 +65,7 @@ fn without_iterations_the_refined_trial_is_skipped() {
     assert_eq!(spans(&s, "gplace.solve"), 0);
     assert_eq!(spans(&s, "gplace.spread"), 0);
     assert_eq!(spans(&s, "gplace.finalist"), 1);
+    assert_eq!(spans(&s, "gplace.finalist.respread"), 1);
     // The refined iterate is the input: only the input and the two
     // spreads are legalized.
     assert_eq!(s.counter("gplace.finalist.trials"), 3);
@@ -76,5 +85,6 @@ fn cold_place_spans_its_initial_solve_and_runs_no_finalist() {
     assert_eq!(spans(&s, "gplace.solve"), iterations + 1);
     assert_eq!(spans(&s, "gplace.spread"), iterations);
     assert_eq!(spans(&s, "gplace.finalist"), 0);
+    assert_eq!(spans(&s, "gplace.finalist.respread"), 0);
     assert_eq!(s.counter("gplace.finalist.trials"), 0);
 }
